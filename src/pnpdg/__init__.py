@@ -12,8 +12,7 @@ from .field import (Field, FluxParams, cell_average, ddg_flux, eval_at_points,
                     project_l2, weighted_cell_average, zero_field)
 from .mesh import Mesh1D, Mesh2D, build_mesh_1d, build_mesh_2d
 from .poisson import (BoundaryCondition, LoadSpec, PoissonBC, PoissonOperator,
-                      assemble_load, assemble_operator, dirichlet, gamma_d, neumann,
-                      solve_poisson)
+                      assemble_load, assemble_operator, dirichlet, gamma_d, neumann)
 from .positivity import (CflReport, LimiterReport, TestSet1D, TestSet2D, WeightField,
                          build_test_set, build_weight, cfl_mu0, choose_gamma,
                          decomposition_weights, scaling_limiter, test_interval,

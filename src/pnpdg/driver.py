@@ -3,8 +3,11 @@ limiter, explicit transport update, diagnostics.
 
 Each explicit stage runs the full pipeline on the current densities; the
 two-stage method is the convex (Heun) combination of such stages, so the
-positivity guarantee of a single stage carries over. Runs are deterministic:
-identical configuration produces bitwise-identical trajectories.
+positivity guarantee of a single stage carries over. A stage stacks the
+densities of all species into one (m_species, n_cells, nb) field and runs
+each positivity and transport kernel once on it; the increment is split
+back into one Field per species. Runs are deterministic: identical
+configuration produces bitwise-identical trajectories.
 """
 
 import logging
@@ -14,7 +17,7 @@ import numpy as np
 
 from .basis import basis_for, tables_for
 from .exceptions import ConfigError, NumericalFatalError
-from .field import Field, FluxParams, l1_error, project_l2
+from .field import DEFAULT_RULE, Field, FluxParams, l1_error, project_l2
 from .poisson import LoadSpec, PoissonBC, assemble_load, assemble_operator
 from .positivity import build_test_set, build_weight, cfl_mu0, scaling_limiter, \
     test_set_values, weighted_projection
@@ -104,18 +107,20 @@ class RunResult:
 
 
 class _StagePrep:
-    """dt-independent part of one explicit stage at a fixed time."""
+    """dt-independent part of one explicit stage at a fixed time.
 
-    __slots__ = ("t", "psi", "weights", "gs", "testsets", "mu0", "cfl_valid",
+    `weight`, `g` and `testset` carry a leading species axis."""
+
+    __slots__ = ("t", "psi", "weight", "g", "testset", "mu0", "cfl_valid",
                  "n_limited", "min_g_pre", "min_g_post")
 
-    def __init__(self, t, psi, weights, gs, testsets, mu0, cfl_valid,
+    def __init__(self, t, psi, weight, g, testset, mu0, cfl_valid,
                  n_limited, min_g_pre, min_g_post):
         self.t = t
         self.psi = psi
-        self.weights = weights
-        self.gs = gs
-        self.testsets = testsets
+        self.weight = weight
+        self.g = g
+        self.testset = testset
         self.mu0 = mu0
         self.cfl_valid = cfl_valid
         self.n_limited = n_limited
@@ -137,9 +142,6 @@ class State:
     @property
     def mesh(self):
         return self.problem.mesh
-
-    def densities(self):
-        return self.c
 
 
 def init(problem, config):
@@ -184,47 +186,33 @@ def _prepare_stage(state, cs, t, need_cfl=True):
     load = assemble_load(state.operator, cs, pb.load_spec(), t)
     psi = state.operator.solve(load)
     cap = pb.np_params.in_positivity_range()
-    weights, gs, testsets = [], [], []
-    mu0 = np.inf
-    cfl_valid = cap
-    n_limited = 0
-    min_pre, min_post = [], []
-    for sp, c in zip(pb.species, cs):
-        w = build_weight(psi, sp.charge, state.rule)
-        g = weighted_projection(c, w)
-        ts = build_test_set(w, pb.np_params, cap=cap)
-        if state.config.limiter:
-            g, rep = scaling_limiter(g, w, ts)
-            n_limited += rep.n_limited
-            min_pre.append(rep.min_pre)
-            min_post.append(rep.min_post)
-        else:
-            vals = test_set_values(g, ts)
-            mn = float(vals.min())
-            min_pre.append(mn)
-            min_post.append(mn)
-        if cap and need_cfl:
-            rep = cfl_mu0(w, ts, pb.np_params)
-            mu0 = min(mu0, rep.mu0)
-        weights.append(w)
-        gs.append(g)
-        testsets.append(ts)
+    c = Field(pb.mesh, np.stack([ci.coeffs for ci in cs]), role="density")
+    w = build_weight(psi, np.array(pb.charges, dtype=float), state.rule)
+    g = weighted_projection(c, w)
+    ts = build_test_set(w, pb.np_params, cap=cap)
+    if state.config.limiter:
+        g, rep = scaling_limiter(g, w, ts)
+        n_limited = rep.n_limited
+        min_pre, min_post = rep.min_pre.tolist(), rep.min_post.tolist()
+    else:
+        n_limited = 0
+        min_pre = min_post = test_set_values(g, ts).min(axis=(-2, -1)).tolist()
     if not cap:
         mu0 = float("nan")
-    return _StagePrep(t, psi, weights, gs, testsets, mu0, cfl_valid,
-                      n_limited, min_pre, min_post)
+    elif need_cfl:
+        mu0 = cfl_mu0(w, ts, pb.np_params).mu0
+    else:
+        mu0 = np.inf
+    return _StagePrep(t, psi, w, g, ts, mu0, cap, n_limited, min_pre, min_post)
 
 
 def _advance(state, cs, prep, dt):
     pb = state.problem
     mesh = pb.mesh
-    basis = basis_for(mesh)
-    out = []
-    for sp, c, w, g in zip(pb.species, cs, prep.weights, prep.gs):
-        rhs = np_rhs(g, w, pb.np_params, source=sp.source, t=prep.t)
-        out.append(Field(mesh, c.coeffs + dt * apply_mass_inverse(mesh, basis, rhs),
-                         role=c.role))
-    return out
+    rhs = np_rhs(prep.g, prep.weight, pb.np_params,
+                 source=[sp.source for sp in pb.species], t=prep.t)
+    inc = apply_mass_inverse(mesh, basis_for(mesh), rhs)
+    return [Field(mesh, c.coeffs + dt * d, role=c.role) for c, d in zip(cs, inc)]
 
 
 def _check_cfl(state, prep, dt):
@@ -292,14 +280,21 @@ def _record(state, prep):
     )
 
 
-def run(problem, config):
-    """Full simulation: initialization, time loop, diagnostics, error report."""
+def run(problem, config, diagnostics=True):
+    """Full simulation: initialization, time loop, diagnostics, error report.
+
+    With diagnostics=False no DiagnosticsRecord is built (the result's list
+    is empty); the trajectory and the errors are the same. Errors are L1
+    norms by the fixed 4-point rule, whatever the scheme's `quad_n`: a
+    coarser rule can vanish on the leading error term of a P2 field.
+    """
     state = init(problem, config)
     dt = config.resolve_dt(problem.mesh)
     records = []
-    prep0 = _prepare_stage(state, state.c, 0.0)
-    state._prep = prep0
-    records.append(_record(state, prep0))
+    if diagnostics:
+        prep0 = _prepare_stage(state, state.c, 0.0)
+        state._prep = prep0
+        records.append(_record(state, prep0))
     step = 0
     tiny = 1e-12 * max(dt, 1.0)
     while state.t < config.T - tiny:
@@ -307,18 +302,18 @@ def run(problem, config):
         pnp_step(state, dt_step)
         step += 1
         is_last = state.t >= config.T - tiny
-        if step % config.cadence == 0 or is_last:
+        if diagnostics and (step % config.cadence == 0 or is_last):
             prep = _prepare_stage(state, state.c, state.t)
             state._prep = prep
             records.append(_record(state, prep))
     errors = {}
     for sp, c in zip(problem.species, state.c):
         if sp.exact is not None:
-            errors[sp.name] = l1_error(c, sp.exact, state.rule, t=state.t)
+            errors[sp.name] = l1_error(c, sp.exact, DEFAULT_RULE, t=state.t)
     if problem.psi_exact is not None:
         prep = state._prep if state._prep is not None and state._prep.t == state.t \
             else _prepare_stage(state, state.c, state.t)
-        errors["psi"] = l1_error(prep.psi, problem.psi_exact, state.rule, t=state.t)
+        errors["psi"] = l1_error(prep.psi, problem.psi_exact, DEFAULT_RULE, t=state.t)
     return RunResult(state, records, errors)
 
 

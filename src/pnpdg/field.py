@@ -1,8 +1,11 @@
 """Piecewise-P2 modal fields: projection, evaluation, traces, DDG flux, norms.
 
-A Field stores one coefficient vector per cell. Evaluation uses the modal
-expansion on the reference element with chain-rule factors 2/h per
-derivative per direction.
+A Field stores one coefficient vector per cell, shape (n_cells, nb). A
+field may carry leading axes, (..., n_cells, nb): the time loop holds all
+species of one stage as a single (m_species, n_cells, nb) field, and
+`cell_averages` and `weighted_cell_average` act per leading index.
+Evaluation uses the modal expansion on the reference element with
+chain-rule factors 2/h per derivative per direction.
 """
 
 from dataclasses import dataclass
@@ -32,9 +35,10 @@ class Field:
         self.mesh = mesh
         self.basis = basis_for(mesh)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (mesh.n_cells, self.basis.nb):
+        if coeffs.shape[-2:] != (mesh.n_cells, self.basis.nb):
             raise ValueError(
-                f"coefficient array shape {coeffs.shape} != ({mesh.n_cells}, {self.basis.nb})"
+                f"coefficient array shape {coeffs.shape} != (..., {mesh.n_cells}, "
+                f"{self.basis.nb})"
             )
         self.coeffs = coeffs
         self.role = role
@@ -45,7 +49,7 @@ class Field:
     @property
     def cell_averages(self):
         # leading modal coefficient is the cell mean
-        return self.coeffs[:, 0]
+        return self.coeffs[..., 0]
 
     def __repr__(self):
         return f"Field(role={self.role!r}, cells={self.mesh.n_cells}, dim={self.mesh.dim})"
@@ -130,23 +134,26 @@ def weighted_cell_average(field, weight, cell=None):
 
     `weight` is a WeightField on the same mesh; its cached volume values
     define the quadrature. A constant weight reduces to the plain average.
+    Leading axes of the field and the weight broadcast: the result has shape
+    (..., n_cells), or (...) for one `cell`.
     """
     rule = weight.rule
     t = tables_for(field.mesh, rule)
     if field.mesh.dim == 1:
-        num = np.einsum("q,nq,nq->n", rule.weights, weight.vol, field.coeffs @ t.vol.T)
-        den = np.einsum("q,nq->n", rule.weights, weight.vol)
+        num = np.einsum("q,...nq,...nq->...n", rule.weights, weight.vol,
+                        field.coeffs @ t.vol.T)
+        den = np.einsum("q,...nq->...n", rule.weights, weight.vol)
     else:
         w2 = rule.weights[:, None] * rule.weights[None, :]
-        vals = np.einsum("nm,stm->nst", field.coeffs, t.vol)
-        num = np.einsum("st,nst,nst->n", w2, weight.vol, vals)
-        den = np.einsum("st,nst->n", w2, weight.vol)
+        vals = np.einsum("...nm,stm->...nst", field.coeffs, t.vol)
+        num = np.einsum("st,...nst,...nst->...n", w2, weight.vol, vals)
+        den = np.einsum("st,...nst->...n", w2, weight.vol)
     if np.any(den <= 0):
         raise ValueError("nonpositive weight integral in weighted_cell_average")
     out = num / den
     if cell is None:
         return out
-    return float(out[cell])
+    return out[..., cell]
 
 
 @dataclass

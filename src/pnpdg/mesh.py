@@ -99,10 +99,6 @@ class Mesh2D:
         return (np.broadcast_to(x, (self.ny, self.nx, rule.n, rule.n)).reshape(shape),
                 np.broadcast_to(y, (self.ny, self.nx, rule.n, rule.n)).reshape(shape))
 
-    def face_size(self, axis):
-        """Mesh size normal to faces of the given axis ('x' or 'y')."""
-        return self.dx if axis == "x" else self.dy
-
 
 def build_mesh_1d(x_lo, x_hi, n):
     return Mesh1D(x_lo, x_hi, n)

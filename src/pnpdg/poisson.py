@@ -325,7 +325,3 @@ def assemble_load(op, densities, load, t=0.0):
         else:
             b[cells] += np.einsum("s,fs,sm->fm", fw, data, tv)
     return b.ravel()
-
-
-def solve_poisson(op, load_vector):
-    return op.solve(load_vector)

@@ -30,10 +30,6 @@ class QuadRule:
     def __repr__(self):
         return f"QuadRule(n={self.n})"
 
-    def integrate(self, values, axis=-1):
-        """Sum values at the nodes against the raw weights along `axis`."""
-        return np.tensordot(values, self.weights, axes=([axis], [0]))
-
 
 def _legendre_and_derivative(n, x):
     # three-term recurrence; returns (P_n(x), P_n'(x))

@@ -5,6 +5,10 @@ each basis function, before mass inversion). Zero-flux boundaries are
 enforced weakly: the boundary numerical flux of g is zero and {g} = g, so
 boundary faces contribute nothing.
 
+`np_rhs` and `apply_mass_inverse` take the leading axes of their inputs:
+with g and the weight field of all m species of a stage, shapes
+(m, n_cells, ...), one call gives the increments of every species.
+
 `decomposition_cell_averages` advances only the cell averages through the
 quadrature/decomposition identity; it must agree with the v = 1 component
 of the full update to roundoff and serves as a consistency oracle.
@@ -17,10 +21,27 @@ from .positivity import test_set_values
 
 
 def np_rhs(g, weight, params, source=None, t=0.0):
-    """Weak-form time increments, shape (n_cells, nb)."""
+    """Weak-form time increments, shape (..., n_cells, nb).
+
+    `source` is f(t, x[, y]) or None for a field without leading axes; for
+    a field with a species axis it is a sequence of one such entry per
+    species.
+    """
     if g.mesh.dim == 1:
         return _rhs_1d(g, weight, params, source, t)
     return _rhs_2d(g, weight, params, source, t)
+
+
+def _add_sources(rhs, source, load):
+    """Add the load of `source` (one callable, or one entry per species)."""
+    if source is None:
+        return
+    if callable(source):
+        rhs += load(source)
+        return
+    for r, f in zip(rhs, source):
+        if f is not None:
+            r += load(f)
 
 
 def apply_mass_inverse(mesh, basis, rhs):
@@ -39,23 +60,24 @@ def _rhs_1d(g, weight, params, source, t):
     dg_ref = c @ tb.dvol.T
     rhs = -(2.0 / h) * ((weight.vol * rule.weights * dg_ref) @ tb.dvol)
     s = 2.0 / h
-    gl = c[:-1] @ tb.at_r      # minus-side traces on interior faces
-    gr = c[1:] @ tb.at_l
-    dgl = s * (c[:-1] @ tb.d_at_r)
-    dgr = s * (c[1:] @ tb.d_at_l)
-    ddgl = s * s * (c[:-1] @ tb.d2_at_r)
-    ddgr = s * s * (c[1:] @ tb.d2_at_l)
+    cm = c[..., :-1, :]        # minus (left) and plus (right) cells of interior faces
+    cp = c[..., 1:, :]
+    gl = cm @ tb.at_r          # minus-side traces on interior faces
+    gr = cp @ tb.at_l
+    dgl = s * (cm @ tb.d_at_r)
+    dgr = s * (cp @ tb.d_at_l)
+    ddgl = s * s * (cm @ tb.d2_at_r)
+    ddgr = s * s * (cp @ tb.d2_at_l)
     flux = (b0 / h) * (gr - gl) + 0.5 * (dgl + dgr) + b1 * h * (ddgr - ddgl)
-    mf = weight.face[1:-1]
+    mf = weight.face[..., 1:-1]
     avg = 0.5 * (gl + gr)
     mflux = mf * flux
-    rhs[:-1] += mflux[:, None] * tb.at_r[None, :] \
-        + (mf * (gl - avg) * s)[:, None] * tb.d_at_r[None, :]
-    rhs[1:] -= mflux[:, None] * tb.at_l[None, :] \
-        + (mf * (gr - avg) * s)[:, None] * tb.d_at_l[None, :]
-    if source is not None:
-        fq = source(t, mesh.quad_points(rule))
-        rhs += np.einsum("q,nq,qm->nm", rule.weights, fq, tb.vol) * (h / 2.0)
+    rhs[..., :-1, :] += mflux[..., None] * tb.at_r \
+        + (mf * (gl - avg) * s)[..., None] * tb.d_at_r
+    rhs[..., 1:, :] -= mflux[..., None] * tb.at_l \
+        + (mf * (gr - avg) * s)[..., None] * tb.d_at_l
+    _add_sources(rhs, source, lambda f: np.einsum(
+        "q,nq,qm->nm", rule.weights, f(t, mesh.quad_points(rule)), tb.vol) * (h / 2.0))
     return rhs
 
 
@@ -67,51 +89,51 @@ def _rhs_2d(g, weight, params, source, t):
     b0, b1 = params.beta0, params.beta1
     n = mesh.n_cells
     c = g.coeffs
-    mw = weight.vol.reshape(n, -1) * tb.w2_flat
+    lead = c.shape[:-2]
+    mw = weight.vol.reshape(lead + (n, -1)) * tb.w2_flat
     rhs = -(dy / dx) * ((mw * (c @ tb.dxi_flat.T)) @ tb.dxi_flat)
     rhs -= (dx / dy) * ((mw * (c @ tb.deta_flat.T)) @ tb.deta_flat)
-    rhs = rhs.reshape(ny, nx, -1)
-    c3 = c.reshape(ny, nx, -1)
+    rhs = rhs.reshape(lead + (ny, nx, -1))
+    c3 = c.reshape(lead + (ny, nx, -1))
+    faces = lead + (-1, 6)
 
-    # interior x-faces: (ny*(nx-1), nq) arrays over the face quadrature nodes
+    # interior x-faces: (..., ny*(nx-1), nq) arrays over the face quadrature nodes
     sx = 2.0 / dx
-    cl = c3[:, :-1].reshape(-1, 6)
-    cr = c3[:, 1:].reshape(-1, 6)
+    cl = c3[..., :, :-1, :].reshape(faces)
+    cr = c3[..., :, 1:, :].reshape(faces)
     gl = cl @ tb.x_r.T
     gr = cr @ tb.x_l.T
     flux = (b0 / dx) * (gr - gl) + 0.5 * sx * (cl @ tb.dx_r.T + cr @ tb.dx_l.T) \
         + b1 * dx * sx * sx * (cr @ tb.d2x_l.T - cl @ tb.d2x_r.T)
-    mf = weight.xface[:, 1:-1].reshape(-1, nq)
+    mf = weight.xface[..., :, 1:-1, :].reshape(lead + (-1, nq))
     half = 0.5 * (gr - gl)      # g_inner - {g} = -/+ half on the minus/plus side
     fw = rule.weights * (dy / 2.0)
     mflux = (mf * flux) * fw
     mhalf = (mf * half) * fw
-    shp = (ny, nx - 1, 6)
-    rhs[:, :-1] += (mflux @ tb.x_r - sx * (mhalf @ tb.dx_r)).reshape(shp)
-    rhs[:, 1:] -= (mflux @ tb.x_l + sx * (mhalf @ tb.dx_l)).reshape(shp)
+    shp = lead + (ny, nx - 1, 6)
+    rhs[..., :, :-1, :] += (mflux @ tb.x_r - sx * (mhalf @ tb.dx_r)).reshape(shp)
+    rhs[..., :, 1:, :] -= (mflux @ tb.x_l + sx * (mhalf @ tb.dx_l)).reshape(shp)
 
-    # interior y-faces: ((ny-1)*nx, nq)
+    # interior y-faces: (..., (ny-1)*nx, nq)
     sy = 2.0 / dy
-    cb = c3[:-1].reshape(-1, 6)
-    ct = c3[1:].reshape(-1, 6)
+    cb = c3[..., :-1, :, :].reshape(faces)
+    ct = c3[..., 1:, :, :].reshape(faces)
     gb = cb @ tb.y_t.T
     gt = ct @ tb.y_b.T
     flux = (b0 / dy) * (gt - gb) + 0.5 * sy * (cb @ tb.dy_t.T + ct @ tb.dy_b.T) \
         + b1 * dy * sy * sy * (ct @ tb.d2y_b.T - cb @ tb.d2y_t.T)
-    mf = weight.yface[1:-1].reshape(-1, nq)
+    mf = weight.yface[..., 1:-1, :, :].reshape(lead + (-1, nq))
     half = 0.5 * (gt - gb)
     fw = rule.weights * (dx / 2.0)
     mflux = (mf * flux) * fw
     mhalf = (mf * half) * fw
-    shp = (ny - 1, nx, 6)
-    rhs[:-1] += (mflux @ tb.y_t - sy * (mhalf @ tb.dy_t)).reshape(shp)
-    rhs[1:] -= (mflux @ tb.y_b + sy * (mhalf @ tb.dy_b)).reshape(shp)
+    shp = lead + (ny - 1, nx, 6)
+    rhs[..., :-1, :, :] += (mflux @ tb.y_t - sy * (mhalf @ tb.dy_t)).reshape(shp)
+    rhs[..., 1:, :, :] -= (mflux @ tb.y_b + sy * (mhalf @ tb.dy_b)).reshape(shp)
 
-    rhs = rhs.reshape(n, -1)
-    if source is not None:
-        xq, yq = mesh.quad_points(rule)
-        fq = source(t, xq, yq).reshape(n, -1)
-        rhs += (fq * tb.w2_flat) @ tb.vol_flat * (dx * dy / 4.0)
+    rhs = rhs.reshape(lead + (n, -1))
+    _add_sources(rhs, source, lambda f: (f(t, *mesh.quad_points(rule)).reshape(n, -1)
+                                         * tb.w2_flat) @ tb.vol_flat * (dx * dy / 4.0))
     return rhs
 
 

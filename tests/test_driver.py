@@ -7,6 +7,7 @@ from pnpdg.driver import (SimConfig, SpeciesSpec, _prepare_stage, fit_steady_amp
                           total_mass)
 from pnpdg.exceptions import ConfigError, NumericalFatalError
 from pnpdg.field import Field, l1_error, project_l2, zero_field
+from pnpdg.quadrature import gauss_rule
 
 
 def test_example2_initial_masses():
@@ -242,3 +243,27 @@ def test_zero_step_is_identity():
     assert state.t == 0.0
     for c, b in zip(state.c, before):
         assert np.array_equal(c.coeffs, b)
+
+
+def test_errors_use_the_fixed_four_point_rule():
+    # with quad_n = 3 the leading P3 error term of a P2 field vanishes at the
+    # scheme's nodes; the reported L1 error must still be the 4-point one
+    T = 0.002
+    problem, _ = build_benchmark("example1", 10)
+    result = run(problem, SimConfig(T=T, mu=0.01, quad_n=3))
+    assert result.state.t == T
+    c = result.state.c[0]
+    assert result.errors["c1"] == l1_error(c, problem.species[0].exact, gauss_rule(4), t=T)
+    assert result.errors["c1"] != l1_error(c, problem.species[0].exact, gauss_rule(3), t=T)
+
+
+def test_run_without_diagnostics():
+    # same trajectory and errors, no records
+    problem, _ = build_benchmark("example1", 5)
+    config = SimConfig(T=0.002, mu=0.01)
+    full = run(problem, config)
+    bare = run(problem, config, diagnostics=False)
+    assert bare.diagnostics == []
+    assert bare.errors == full.errors
+    for a, b in zip(full.state.c, bare.state.c):
+        assert np.array_equal(a.coeffs, b.coeffs)
