@@ -1,11 +1,21 @@
-"""Modal Legendre bases of degree 2 on the reference element.
+"""Modal Legendre bases of degree 2 on the reference element, their tables
+and the DDG face flux.
 
 1D: {1, xi, (3 xi^2 - 1)/2}, orthogonal on [-1, 1].
 2D: the six tensor products of total degree <= 2 on [-1, 1]^2.
 
 The first basis function is 1, so the leading modal coefficient of any
 field is its cell average.
+
+Per-cell arrays are laid out on the cell grid, (..., *mesh.grid, nb), with
+x the last grid axis. Direction d (0 = x, 1 = y) has one `FaceTables`:
+its trace tables on the faces normal to d, its volume derivative table and
+its face weights. 1D is the x-direction alone, with one node per face and
+face weight 1, so one flux kernel, `FaceTables.flux`, serves both
+dimensions.
 """
+
+import math
 
 import numpy as np
 
@@ -29,130 +39,140 @@ def legendre_d2vals(xi):
     return np.stack([z, z, np.full_like(xi, 3.0)], axis=-1)
 
 
+LEGENDRE = (legendre_vals, legendre_dvals, legendre_d2vals)
+
 # reference Gram diagonal: int_{-1}^{1} L_m^2 dxi
 GRAM_1D = np.array([2.0, 2.0 / 3.0, 2.0 / 5.0])
 
-# 2D basis as (x-degree, y-degree) pairs, total degree <= 2
+# basis functions as per-direction Legendre degrees, total degree <= 2
+PAIRS_1D = ((0,), (1,), (2,))
 PAIRS_2D = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-class Basis1D:
-    degree = K
-    nb = 3
-    gram = GRAM_1D
+class Basis:
+    """Tensor products of Legendre polynomials, one degree tuple per function."""
 
-    vals = staticmethod(legendre_vals)
-    dvals = staticmethod(legendre_dvals)
-    d2vals = staticmethod(legendre_d2vals)
+    degree = K
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.dim = len(pairs[0])
+        self.nb = len(pairs)
+        self.gram = np.array([math.prod(GRAM_1D[a] for a in p) for p in pairs])
+
+    def table(self, orders, *xi):
+        """Basis derivatives of the given order per direction at reference
+        points xi (one coordinate array per direction); shape xi.shape + (nb,)."""
+        leg = [LEGENDRE[k](x) for k, x in zip(orders, xi)]
+        out = []
+        for p in self.pairs:
+            v = leg[0][..., p[0]]
+            for f, a in zip(leg[1:], p[1:]):
+                v = v * f[..., a]
+            out.append(v)
+        return np.stack(out, axis=-1)
+
+    def vals(self, *xi):
+        return self.table((0,) * self.dim, *xi)
 
     def __repr__(self):
-        return "Basis1D(P2)"
+        return f"Basis(P2, dim={self.dim})"
 
 
-class Basis2D:
-    degree = K
-    nb = 6
-    pairs = PAIRS_2D
-    gram = np.array([GRAM_1D[a] * GRAM_1D[b] for a, b in PAIRS_2D])
-
-    @staticmethod
-    def _combine(fx, fy):
-        return np.stack([fx[..., a] * fy[..., b] for a, b in PAIRS_2D], axis=-1)
-
-    def vals(self, xi, eta):
-        return self._combine(legendre_vals(xi), legendre_vals(eta))
-
-    def dxi(self, xi, eta):
-        return self._combine(legendre_dvals(xi), legendre_vals(eta))
-
-    def deta(self, xi, eta):
-        return self._combine(legendre_vals(xi), legendre_dvals(eta))
-
-    def dxi2(self, xi, eta):
-        return self._combine(legendre_d2vals(xi), legendre_vals(eta))
-
-    def deta2(self, xi, eta):
-        return self._combine(legendre_vals(xi), legendre_d2vals(eta))
-
-    def dxideta(self, xi, eta):
-        return self._combine(legendre_dvals(xi), legendre_dvals(eta))
-
-    def __repr__(self):
-        return "Basis2D(P2, total degree)"
-
-
-BASIS_1D = Basis1D()
-BASIS_2D = Basis2D()
+BASIS_1D = Basis(PAIRS_1D)
+BASIS_2D = Basis(PAIRS_2D)
 
 
 def basis_for(mesh):
-    return BASIS_1D if mesh.dim == 1 else BASIS_2D
+    return (BASIS_1D, BASIS_2D)[mesh.dim - 1]
 
 
-class Tables1D:
-    """Basis values at volume quadrature nodes and element endpoints."""
-
-    def __init__(self, rule):
-        self.rule = rule
-        q = rule.nodes
-        self.vol = legendre_vals(q)        # (nq, 3)
-        self.dvol = legendre_dvals(q)
-        one = np.array(1.0)
-        self.at_r = legendre_vals(one)     # trace at xi = +1
-        self.at_l = legendre_vals(-one)
-        self.d_at_r = legendre_dvals(one)
-        self.d_at_l = legendre_dvals(-one)
-        self.d2_at_r = legendre_d2vals(one)
-        self.d2_at_l = legendre_d2vals(-one)
-        # fused projection table: node -> stacked (m, l) basis products
-        self.vol_outer = (self.vol[:, :, None] * self.vol[:, None, :]).reshape(rule.n, 9)
-        # weighted moment table: node -> weights/2 * (1, xi, xi^2)
-        self.mom = 0.5 * rule.weights[:, None] * np.stack([np.ones_like(q), q, q * q], -1)
-        self.proj = _polish_projection(self.vol, rule.weights, GRAM_1D)
+def _node_grid(rule, k):
+    """Tensor grid of the rule's nodes in k directions: k arrays of shape (nq,)*k."""
+    return np.meshgrid(*[rule.nodes] * k, indexing="ij")
 
 
-class Tables2D:
-    """Basis values at tensor quadrature nodes and on the four face trace lines.
+def _tensor_weights(rule, k):
+    """Tensor-product weights of the rule in k directions, flattened like the grid."""
+    w = np.ones(1)
+    for _ in range(k):
+        w = np.multiply.outer(w, rule.weights).ravel()
+    return w
 
-    Volume arrays are indexed (sx, sy, m); face arrays (s, m) where s runs
-    over the quadrature nodes along the face.
+
+class FaceTables:
+    """DDG tables of direction d on the reference element.
+
+    `v_m`, `d_m`, `d2_m` are the value, d/dxi_d and d2/dxi_d2 traces of the
+    minus-side cell (at xi_d = +1), `v_p`, `d_p`, `d2_p` those of the
+    plus-side cell (at xi_d = -1), each (ns, nb) over the ns face nodes.
+    `dvol` is d/dxi_d at the volume nodes, `weights` the reference face
+    weights, and `axis` the grid axis of d in a (..., *grid, nb) array.
+    `minus`, `plus` and `inner` index the minus- and plus-side cells of the
+    interior faces in such an array, and the interior faces in an array
+    over all faces.
     """
 
-    def __init__(self, rule):
+    def __init__(self, basis, rule, d):
+        self.dim = dim = basis.dim
+        self.axis = -(d + 2)
+        # the faces' minus-side cells, plus-side cells, and the interior faces
+        self.minus, self.plus, self.inner = (self.at(s) for s in (
+            slice(None, -1), slice(1, None), slice(1, -1)))
+        tangent = [a.ravel() for a in _node_grid(rule, dim - 1)]
+        self.weights = _tensor_weights(rule, dim - 1)
+
+        def table(k, xi):   # k-th derivative along d
+            return basis.table(tuple(k if i == d else 0 for i in range(dim)), *xi)
+
+        for side, names in ((1.0, ("v_m", "d_m", "d2_m")), (-1.0, ("v_p", "d_p", "d2_p"))):
+            xi = tangent[:d] + [np.full(len(self.weights), side)] + tangent[d:]
+            for k, name in enumerate(names):
+                setattr(self, name, table(k, xi))
+        self.dvol = table(1, _node_grid(rule, dim)).reshape(-1, basis.nb)
+
+    def at(self, s):
+        """Index of grid position(s) `s` along this direction."""
+        return (Ellipsis, s) + (slice(None),) * (-self.axis - 1)
+
+    def flux(self, c, h, params):
+        """DDG flux beta0 [w]/h + {dn w} + beta1 h [dn^2 w] on every interior face.
+
+        `c` holds modal coefficients on the cell grid, (..., *grid, nb);
+        returns the minus- and plus-side traces of w and the flux, each
+        (..., n_faces, ns) with the faces in grid order.
+        """
+        flat = c.shape[:c.ndim - self.dim - 1] + (-1, c.shape[-1])
+        cm, cp = c[self.minus].reshape(flat), c[self.plus].reshape(flat)
+        gm, gp = cm @ self.v_m.T, cp @ self.v_p.T
+        s = 2.0 / h
+        flux = (params.beta0 / h) * (gp - gm) + 0.5 * s * (cm @ self.d_m.T + cp @ self.d_p.T) \
+            + params.beta1 * h * s * s * (cp @ self.d2_p.T - cm @ self.d2_m.T)
+        return gm, gp, flux
+
+
+class Tables:
+    """Basis values at the tensor quadrature nodes, flattened to (nq^dim, nb),
+    the projection and moment tables, and one FaceTables per direction."""
+
+    def __init__(self, basis, rule):
         self.rule = rule
         q = rule.nodes
-        b = BASIS_2D
-        XI = q[:, None] * np.ones((1, rule.n))
-        ETA = np.ones((rule.n, 1)) * q[None, :]
-        self.vol = b.vals(XI, ETA)
-        self.dxi = b.dxi(XI, ETA)
-        self.deta = b.deta(XI, ETA)
-        ones = np.ones(rule.n)
-        # x-faces: traces along eta = q at xi = +/-1
-        self.x_r = b.vals(ones, q)
-        self.x_l = b.vals(-ones, q)
-        self.dx_r = b.dxi(ones, q)
-        self.dx_l = b.dxi(-ones, q)
-        self.d2x_r = b.dxi2(ones, q)
-        self.d2x_l = b.dxi2(-ones, q)
-        # y-faces: traces along xi = q at eta = +/-1
-        self.y_t = b.vals(q, ones)
-        self.y_b = b.vals(q, -ones)
-        self.dy_t = b.deta(q, ones)
-        self.dy_b = b.deta(q, -ones)
-        self.d2y_t = b.deta2(q, ones)
-        self.d2y_b = b.deta2(q, -ones)
-        # flattened (nq*nq, nb) volume tables and fused products for matmul paths
-        n2 = rule.n * rule.n
-        self.w2 = rule.weights[:, None] * rule.weights[None, :]
-        self.w2_flat = self.w2.reshape(n2)
-        self.vol_flat = self.vol.reshape(n2, 6)
-        self.dxi_flat = self.dxi.reshape(n2, 6)
-        self.deta_flat = self.deta.reshape(n2, 6)
-        self.vol_outer = (self.vol_flat[:, :, None] * self.vol_flat[:, None, :]).reshape(n2, 36)
-        mom1 = np.stack([np.ones_like(q), q, q * q], -1)
-        self.mom = 0.5 * rule.weights[:, None] * mom1   # (nq, 3) one-direction moments
-        self.proj = _polish_projection(self.vol_flat, self.w2_flat, BASIS_2D.gram)
+        dim = basis.dim
+        self.vol = basis.vals(*_node_grid(rule, dim))   # (nq,)*dim + (nb,)
+        self.vol_flat = self.vol.reshape(-1, basis.nb)
+        self.w_flat = _tensor_weights(rule, dim)
+        # fused projection table: node -> stacked (m, l) basis products
+        self.vol_outer = (self.vol_flat[:, :, None] * self.vol_flat[:, None, :]).reshape(
+            len(self.w_flat), -1)
+        # weighted moment table: node -> weights/2 * (1, xi, xi^2), one direction
+        self.mom = 0.5 * rule.weights[:, None] * np.stack([np.ones_like(q), q, q * q], -1)
+        self.proj = _polish_projection(self.vol_flat, self.w_flat, basis.gram)
+        self.faces = tuple(FaceTables(basis, rule, d) for d in range(dim))
+        # side traces under the names the positivity kernels use (1D; 2D)
+        fx, fy = self.faces[0], self.faces[-1]
+        self.at_r, self.at_l = fx.v_m[0], fx.v_p[0]
+        self.x_r, self.x_l, self.y_t, self.y_b = fx.v_m, fx.v_p, fy.v_m, fy.v_p
 
 
 def _polish_projection(vals, weights, gram):
@@ -174,5 +194,54 @@ _TABLE_CACHE = {}
 def tables_for(mesh, rule):
     key = (mesh.dim, rule.n)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = Tables1D(rule) if mesh.dim == 1 else Tables2D(rule)
+        _TABLE_CACHE[key] = Tables(basis_for(mesh), rule)
     return _TABLE_CACHE[key]
+
+
+class CellQuadrature:
+    """The tensor Gauss rule on every cell of one mesh.
+
+    `points` are the physical nodes per direction, (n_cells, nq^dim) each,
+    read-only. `values` evaluates modal coefficients at the nodes,
+    `integrate` sums node values over the cells, `project` maps node values
+    to L2-projected coefficients and `load` gives int(v phi_m) per cell.
+    Per direction d: `face_weights[d]` are the physical face weights,
+    `boundary_cells[d]` the cells on the low and the high boundary side,
+    `face_points[d]` the tangential coordinates of those sides' face nodes,
+    (n_side, ns) per other direction, and `stiffness[d]` = J (2/h_d)^2.
+    """
+
+    def __init__(self, mesh, rule):
+        self.tables = tb = tables_for(mesh, rule)
+        dim, h = mesh.dim, mesh.spacing
+        node = [c[:, None] + 0.5 * hd * rule.nodes[None, :] for c, hd in zip(mesh.axes, h)]
+        full = mesh.grid + (rule.n,) * dim
+        points = []
+        for d, x in enumerate(node):
+            shape = [1] * (2 * dim)
+            shape[dim - 1 - d], shape[dim + d] = x.shape
+            points.append(np.broadcast_to(x.reshape(shape), full).reshape(mesh.n_cells, -1))
+            points[-1].flags.writeable = False
+        self.points = tuple(points)
+        self.jac = mesh.cell_volume / 2 ** dim
+        others = [[i for i in range(dim) if i != d] for d in range(dim)]
+        self.face_weights = tuple(f.weights * math.prod(h[i] / 2.0 for i in o)
+                                  for f, o in zip(tb.faces, others))
+        self.face_points = tuple(tuple(node[i] for i in o) for o in others)
+        cells = np.arange(mesh.n_cells).reshape(mesh.grid + (1,))
+        self.boundary_cells = tuple((cells[f.at(0)].ravel(), cells[f.at(-1)].ravel())
+                                    for f in tb.faces)
+        self.stiffness = tuple(math.prod(h[i] for i in o) * 2 ** (2 - dim) / h[d]
+                               for d, o in enumerate(others))
+
+    def values(self, coeffs):
+        return coeffs @ self.tables.vol_flat.T
+
+    def integrate(self, v):
+        return float(np.einsum("q,nq->", self.tables.w_flat, v)) * self.jac
+
+    def project(self, v):
+        return v @ self.tables.proj.T
+
+    def load(self, v):
+        return ((v * self.tables.w_flat) @ self.tables.vol_flat) * self.jac

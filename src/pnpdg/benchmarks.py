@@ -205,8 +205,7 @@ BENCHMARKS = {
     "example3-3": lambda n, **kw: _example3("example3-3", n, **kw),
     "example3-4": lambda n, **kw: _example3("example3-4", n, **kw),
     "example4": _example4,
-    "neutral": _neutral,
-    "custom": _neutral,   # parameterized constant-state problem ([custom] section)
+    "neutral": _neutral,   # parameterized by the [custom] config section
 }
 
 

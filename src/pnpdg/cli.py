@@ -13,7 +13,7 @@ import numpy as np
 
 from . import csvio
 from .config import config_sizes, parse_config, resolve
-from .driver import _prepare_stage, pnp_step, run
+from .driver import pnp_step, run
 from .exceptions import ConfigError, NumericalFatalError, PnpdgError
 from .field import l1_error
 
@@ -52,9 +52,8 @@ def cmd_run(args):
     csvio.write_diagnostics(os.path.join(out, "diagnostics.csv"), result.diagnostics, names)
     for sp, c in zip(problem.species, result.state.c):
         csvio.write_snapshot(os.path.join(out, f"snapshot_{sp.name}.csv"), c)
-    prep = result.state._prep
-    if prep is not None:
-        csvio.write_snapshot(os.path.join(out, "snapshot_psi.csv"), prep.psi)
+    psi = result.state.prepared_stage().psi
+    csvio.write_snapshot(os.path.join(out, "snapshot_psi.csv"), psi)
     for name, err in result.errors.items():
         print(f"l1 error {name}: {err:.6e}")
     last = result.diagnostics[-1]
@@ -69,10 +68,8 @@ def _reference_result(cfg, sizes, refine=4):
     log.info("no exact solution: computing reference on %d cells (refinement %dx)",
              ref_n, refine)
     problem, sim = resolve(cfg, ref_n)
-    res = run(problem, sim, diagnostics=False)
-    state = res.state
-    prep = state._prep if state._prep is not None else _prepare_stage(state, state.c, state.t)
-    return res.state.c, prep.psi, ref_n
+    state = run(problem, sim, diagnostics=False).state
+    return state.c, state.prepared_stage().psi, ref_n
 
 
 def cmd_convergence(args):
@@ -98,12 +95,10 @@ def cmd_convergence(args):
             errors["psi"].append(result.errors["psi"])
         else:
             ref_c, ref_psi, _ = ref
-            prep = state._prep if state._prep is not None \
-                else _prepare_stage(state, state.c, state.t)
             # the fixed default rule, as in driver.run, not the scheme's quad_n
             for sp, c, rc in zip(problem.species, state.c, ref_c):
                 errors[sp.name].append(l1_error(c, rc))
-            errors["psi"].append(l1_error(prep.psi, ref_psi))
+            errors["psi"].append(l1_error(state.prepared_stage().psi, ref_psi))
     mesh0 = problem0.mesh
     if mesh0.dim == 1:
         col0, col0_name, inverse = [ (mesh0.x_hi - mesh0.x_lo) / n for n in sizes ], "h", False

@@ -164,7 +164,7 @@ def serialize_config(cfg):
             if v is None:
                 continue
             defaults = RunConfig()
-            if section == "custom" and cfg.benchmark not in ("neutral", "custom") \
+            if section == "custom" and cfg.benchmark != "neutral" \
                     and v == getattr(defaults, attr):
                 continue
             body.append(f"{key} = {fmt(v)}")
@@ -184,7 +184,7 @@ def resolve(cfg, n=None):
     kwargs = {}
     if cfg.benchmark == "example3-4" and cfg.variant:
         kwargs["variant"] = cfg.variant
-    if cfg.benchmark in ("neutral", "custom"):
+    if cfg.benchmark == "neutral":
         kwargs.update(dim=cfg.custom_dim, value=cfg.custom_value,
                       perturb=cfg.custom_perturb)
     sizes = cfg.sizes
@@ -225,7 +225,7 @@ def config_sizes(cfg):
     if cfg.sizes is not None:
         return cfg.sizes
     kwargs = {"variant": cfg.variant} if cfg.variant else {}
-    if cfg.benchmark in ("neutral", "custom"):
+    if cfg.benchmark == "neutral":
         kwargs.update(dim=cfg.custom_dim)
     _, defaults = build_benchmark(cfg.benchmark, 4, **kwargs)
     return defaults["sizes"]

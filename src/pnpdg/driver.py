@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_for, tables_for
+from .basis import basis_for
 from .exceptions import ConfigError, NumericalFatalError
 from .field import DEFAULT_RULE, Field, FluxParams, l1_error, project_l2
 from .poisson import LoadSpec, PoissonBC, assemble_load, assemble_operator
@@ -83,7 +83,7 @@ class SimConfig:
         if self.dt is not None:
             return float(self.dt)
         mu = 0.01 if self.mu is None else self.mu
-        h = mesh.h if mesh.dim == 1 else min(mesh.dx, mesh.dy)
+        h = min(mesh.spacing)
         return mu * h * h
 
 
@@ -143,6 +143,13 @@ class State:
     def mesh(self):
         return self.problem.mesh
 
+    def prepared_stage(self):
+        """The prepared stage at the current time: the cached one if its time
+        matches, else a new one, which is cached."""
+        if self._prep is None or self._prep.t != self.t:
+            self._prep = _prepare_stage(self, self.c, self.t)
+        return self._prep
+
 
 def init(problem, config):
     """Project initial data and assemble/factorize the Poisson operator."""
@@ -160,17 +167,14 @@ def init(problem, config):
         )
     state = State(problem, config)
     mesh = problem.mesh
-    nb = basis_for(mesh).nb
+    points = mesh.quadrature(state.rule).points
     for sp in problem.species:
         if sp.init_coeffs is not None:
             f = Field(mesh, np.tile(np.asarray(sp.init_coeffs, float), (mesh.n_cells, 1)),
                       role="density")
         else:
             f = project_l2(sp.c_init, mesh, state.rule, role="density")
-        if mesh.dim == 1:
-            vals = sp.c_init(mesh.quad_points(state.rule))
-        else:
-            vals = sp.c_init(*mesh.quad_points(state.rule))
+        vals = sp.c_init(*points)
         if np.min(vals) < 0:
             log.warning("initial data for species %s is negative at quadrature nodes "
                         "(min %.3g)", sp.name, float(np.min(vals)))
@@ -219,8 +223,7 @@ def _check_cfl(state, prep, dt):
     """Returns the (possibly reduced) step size per the configured CFL mode."""
     if not prep.cfl_valid:
         return dt
-    mesh = state.mesh
-    mu = dt / mesh.h ** 2 if mesh.dim == 1 else dt / mesh.dx ** 2 + dt / mesh.dy ** 2
+    mu = sum(dt / h ** 2 for h in state.mesh.spacing)
     if mu <= prep.mu0:
         return dt
     if state.config.cfl_mode == "strict":
@@ -248,8 +251,7 @@ def pnp_step(state, dt):
     the current state is cached on the State and reused when the time
     matches (the record at t_n shares the stage-1 solve of step n).
     """
-    prep = state._prep if state._prep is not None and state._prep.t == state.t \
-        else _prepare_stage(state, state.c, state.t)
+    prep = state.prepared_stage()
     dt = _check_cfl(state, prep, dt)
     s1 = _advance(state, state.c, prep, dt)
     if state.config.rk == 2:
@@ -292,9 +294,7 @@ def run(problem, config, diagnostics=True):
     dt = config.resolve_dt(problem.mesh)
     records = []
     if diagnostics:
-        prep0 = _prepare_stage(state, state.c, 0.0)
-        state._prep = prep0
-        records.append(_record(state, prep0))
+        records.append(_record(state, state.prepared_stage()))
     step = 0
     tiny = 1e-12 * max(dt, 1.0)
     while state.t < config.T - tiny:
@@ -303,24 +303,19 @@ def run(problem, config, diagnostics=True):
         step += 1
         is_last = state.t >= config.T - tiny
         if diagnostics and (step % config.cadence == 0 or is_last):
-            prep = _prepare_stage(state, state.c, state.t)
-            state._prep = prep
-            records.append(_record(state, prep))
+            records.append(_record(state, state.prepared_stage()))
     errors = {}
     for sp, c in zip(problem.species, state.c):
         if sp.exact is not None:
             errors[sp.name] = l1_error(c, sp.exact, DEFAULT_RULE, t=state.t)
     if problem.psi_exact is not None:
-        prep = state._prep if state._prep is not None and state._prep.t == state.t \
-            else _prepare_stage(state, state.c, state.t)
-        errors["psi"] = l1_error(prep.psi, problem.psi_exact, DEFAULT_RULE, t=state.t)
+        errors["psi"] = l1_error(state.prepared_stage().psi, problem.psi_exact, DEFAULT_RULE,
+                                 t=state.t)
     return RunResult(state, records, errors)
 
 
 def total_mass(state, species):
-    mesh = state.mesh
-    vol = mesh.h if mesh.dim == 1 else mesh.dx * mesh.dy
-    return float(state.c[species].cell_averages.sum() * vol)
+    return float(state.c[species].cell_averages.sum() * state.mesh.cell_volume)
 
 
 def minima(state):
@@ -334,76 +329,37 @@ def free_energy(state, psi=None):
     This is a reporting convention, not a reproduced quantity; densities
     below 1e-14 are clipped inside the logarithm.
     """
-    mesh = state.mesh
-    rule = state.rule
-    tb = tables_for(mesh, rule)
+    quad = state.mesh.quadrature(state.rule)
     if psi is None:
-        prep = state._prep if state._prep is not None and state._prep.t == state.t \
-            else _prepare_stage(state, state.c, state.t)
-        state._prep = prep
-        psi = prep.psi
-    if mesh.dim == 1:
-        wq = rule.weights * (mesh.h / 2.0)
-        def integrate(v):
-            return float(np.einsum("q,nq->", wq, v))
-        cvals = [c.coeffs @ tb.vol.T for c in state.c]
-        psivals = psi.coeffs @ tb.vol.T
-        rho = state.problem.rho0(mesh.quad_points(rule)) if state.problem.rho0 else 0.0
-    else:
-        w2 = (rule.weights[:, None] * rule.weights[None, :]) * (mesh.dx * mesh.dy / 4.0)
-        def integrate(v):
-            return float(np.einsum("qs,nqs->", w2, v))
-        cvals = [np.einsum("nm,qsm->nqs", c.coeffs, tb.vol) for c in state.c]
-        psivals = np.einsum("nm,qsm->nqs", psi.coeffs, tb.vol)
-        xq, yq = mesh.quad_points(rule)
-        rho = state.problem.rho0(xq, yq) if state.problem.rho0 else 0.0
+        psi = state.prepared_stage().psi
+    cvals = [quad.values(c.coeffs) for c in state.c]
+    rho = state.problem.rho0(*quad.points) if state.problem.rho0 else 0.0
     entropy = 0.0
     n_clipped = 0
     for v in cvals:
         clipped = np.maximum(v, ENTROPY_CLIP)
         n_clipped += int((v < ENTROPY_CLIP).sum())
-        entropy += integrate(v * np.log(clipped))
+        entropy += quad.integrate(v * np.log(clipped))
     if n_clipped:
         log.debug("free_energy: clipped %d density values below %g inside log",
                   n_clipped, ENTROPY_CLIP)
     charge = sum(q * v for q, v in zip(state.problem.charges, cvals)) + rho
-    return entropy + 0.5 * integrate(charge * psivals)
+    return entropy + 0.5 * quad.integrate(charge * quad.values(psi.coeffs))
 
 
 def steady_state_init(problem, amplitudes, phi, rule=None):
     """Densities c_inf * exp(-q phi_h), projected cell by cell."""
-    rule = rule or gauss_rule(4)
-    mesh = problem.mesh
-    tb = tables_for(mesh, rule)
-    out = []
-    for sp, amp in zip(problem.species, amplitudes):
-        if mesh.dim == 1:
-            vals = amp * np.exp(-sp.charge * (phi.coeffs @ tb.vol.T))
-            coeffs = np.einsum("q,nq,qm->nm", rule.weights, vals, tb.vol)
-        else:
-            vals = amp * np.exp(-sp.charge * np.einsum("nm,qsm->nqs", phi.coeffs, tb.vol))
-            w2 = rule.weights[:, None] * rule.weights[None, :]
-            coeffs = np.einsum("qs,nqs,qsm->nm", w2, vals, tb.vol)
-        out.append(Field(mesh, coeffs / basis_for(mesh).gram, role="density"))
-    return out
+    quad = problem.mesh.quadrature(rule or gauss_rule(4))
+    phivals = quad.values(phi.coeffs)
+    return [Field(problem.mesh, quad.project(amp * np.exp(-sp.charge * phivals)), role="density")
+            for sp, amp in zip(problem.species, amplitudes)]
 
 
 def fit_steady_amplitudes(state, psi=None):
     """Amplitudes c_inf matching each species' current total mass for exp(-q psi)."""
-    mesh = state.mesh
-    rule = state.rule
-    tb = tables_for(mesh, rule)
+    quad = state.mesh.quadrature(state.rule)
     if psi is None:
-        prep = _prepare_stage(state, state.c, state.t)
-        psi = prep.psi
-    amps = []
-    for i, sp in enumerate(state.problem.species):
-        if mesh.dim == 1:
-            vals = np.exp(-sp.charge * (psi.coeffs @ tb.vol.T))
-            total = float(np.einsum("q,nq->", rule.weights * (mesh.h / 2.0), vals))
-        else:
-            vals = np.exp(-sp.charge * np.einsum("nm,qsm->nqs", psi.coeffs, tb.vol))
-            w2 = (rule.weights[:, None] * rule.weights[None, :]) * (mesh.dx * mesh.dy / 4.0)
-            total = float(np.einsum("qs,nqs->", w2, vals))
-        amps.append(total_mass(state, i) / total)
-    return amps
+        psi = _prepare_stage(state, state.c, state.t).psi
+    psivals = quad.values(psi.coeffs)
+    return [total_mass(state, i) / quad.integrate(np.exp(-sp.charge * psivals))
+            for i, sp in enumerate(state.problem.species)]

@@ -133,15 +133,6 @@ def build_weight(psi, q, rule=DEFAULT_RULE):
     return WeightField(mesh, rule, q, caches)
 
 
-def weight_from_values(mesh, rule, vol, **faces):
-    """Assemble a WeightField from explicit positive cache arrays (tests only)."""
-    if np.any(vol <= 0):
-        raise ValueError("weight volume values must be positive")
-    caches = {"vol": vol}
-    caches.update(faces)
-    return WeightField(mesh, rule, 0.0, caches)
-
-
 def _exp_weight(q, v):
     """exp(-q v), with the shape of q leading that of v."""
     q = np.reshape(q, np.shape(q) + (1,) * v.ndim)
@@ -160,36 +151,6 @@ def _intervals(m0, m1, m2):
     a = (m1 - m2) / (m0 - m1)
     b = (m1 + m2) / (m0 + m1)
     return a, b
-
-
-def test_interval(weight, cell, line=None):
-    """Admissible interior-node interval (a, b) for one cell (one line in 2D)."""
-    if weight.mesh.dim == 1:
-        m = weight.moments[cell]
-    else:
-        axis, sigma = line
-        m = weight.moments_along(axis)[cell, sigma]
-    a, b = _intervals(m[0], m[1], m[2])
-    if not (-1.0 < a < b < 1.0):
-        raise NumericalFatalError(
-            f"test interval ordering violated in cell {cell}: a={a}, b={b}"
-        )
-    return float(a), float(b)
-
-
-def choose_gamma(a, b, beta1, cap=True):
-    """Interior test node: the midpoint of (a, b), clamped to |gamma| <= 8 beta1 - 1.
-
-    With cap=False (expert override for beta1 outside [1/8, 1/4]) the raw
-    midpoint is used. A clamped value leaving (a, b) is inadmissible.
-    """
-    g = 0.5 * (a + b)
-    if cap:
-        lim = 8.0 * beta1 - 1.0
-        g = min(max(g, -lim), lim)
-        if not (a < g < b):
-            raise InadmissibleCellError("?", a, b, lim)
-    return g
 
 
 def _select_gammas(a, b, beta1, cap):
@@ -212,21 +173,6 @@ def _lagrange_weights(m0, m1, m2, g):
     w2 = (m0 - m2) / (1.0 - g * g)
     w3 = (-g * m0 + (1.0 - g) * m1 + m2) / (2.0 * (1.0 - g))
     return w1, w2, w3
-
-
-def decomposition_weights(weight, cell, gamma, line=None):
-    """Positive decomposition weights of one cell for interior node gamma."""
-    if weight.mesh.dim == 1:
-        m = weight.moments[cell]
-    else:
-        axis, sigma = line
-        m = weight.moments_along(axis)[cell, sigma]
-    w = _lagrange_weights(m[0], m[1], m[2], gamma)
-    if min(w) <= 0:
-        raise NumericalFatalError(
-            f"nonpositive decomposition weight in cell {cell}: gamma={gamma} outside (a, b)"
-        )
-    return tuple(float(x) for x in w)
 
 
 @dataclass
@@ -294,7 +240,7 @@ def weighted_projection(c, weight):
     if mesh.dim == 1:
         mv, qw = weight.vol, rule.weights
     else:
-        mv, qw = weight.vol.reshape(lead + (mesh.n_cells, -1)), t.w2_flat
+        mv, qw = weight.vol.reshape(lead + (mesh.n_cells, -1)), t.w_flat
     # W = m_ref * diag(gram) + Q[(M - m_ref) phi_m phi_l], m_ref one node value
     # of M per cell: a cell-constant weight gives an exactly diagonal W (the
     # plain quadrature Gram has ~1e-16 off-diagonal roundoff), so where M and

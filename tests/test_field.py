@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import (FaceTrace, ddg_flux, eval_field, eval_grad, eval_second, face_trace,
+                     weight_from_values)
 from pnpdg.basis import BASIS_1D, BASIS_2D, tables_for
-from pnpdg.field import (FaceTrace, Field, FluxParams, cell_average, ddg_flux,
-                         eval_field, eval_grad, eval_second, face_trace, l1_error,
-                         project_l2, weighted_cell_average)
+from pnpdg.field import (Field, FluxParams, cell_average, l1_error, project_l2,
+                         weighted_cell_average)
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.positivity import weight_from_values
 from pnpdg.quadrature import gauss_rule
 
 RULE = gauss_rule(4)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pnpdg.field import Field, face_trace
+from oracles import face_trace
+from pnpdg.field import Field
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 
 

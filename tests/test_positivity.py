@@ -4,10 +4,10 @@ import pytest
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
 from pnpdg.field import Field, FluxParams, project_l2, weighted_cell_average, zero_field
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, choose_gamma,
-                              decomposition_weights, scaling_limiter, weight_from_values,
+from oracles import choose_gamma, decomposition_weights, weight_from_values
+from oracles import test_interval as admissible_interval
+from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
-from pnpdg.positivity import test_interval as admissible_interval
 from pnpdg.positivity import test_set_values as values_on_test_set
 from pnpdg.quadrature import gauss_rule
 
