@@ -1,5 +1,6 @@
 """Positivity-preserving third-order DDG solver for Poisson-Nernst-Planck systems."""
 
+from .basis import SeparableSource
 from .benchmarks import BENCHMARKS, build_benchmark
 from .config import RunConfig, parse_config, resolve, serialize_config
 from .driver import (DiagnosticsRecord, ProblemSpec, RunResult, SimConfig, SpeciesSpec,

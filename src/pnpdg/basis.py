@@ -198,13 +198,33 @@ def tables_for(mesh, rule):
     return _TABLE_CACHE[key]
 
 
+class SeparableSource(tuple):
+    """A time-separable source sum_k a_k(t) s_k(x[, y]): a tuple of
+    (time factor a_k, spatial function s_k) terms.
+
+    Called as f(t, x[, y]) it returns the sum, like any plain source.
+    `CellQuadrature.load_source` loads each s_k once per mesh and rule, so
+    the load at a time t costs one small product a(t) @ S.
+    """
+
+    def __new__(cls, *terms):
+        return super().__new__(cls, terms)
+
+    def __call__(self, t, *x):
+        return sum(a(t) * s(*x) for a, s in self)
+
+    def factors(self, t):
+        return np.array([a(t) for a, _ in self], dtype=float)
+
+
 class CellQuadrature:
     """The tensor Gauss rule on every cell of one mesh.
 
     `points` are the physical nodes per direction, (n_cells, nq^dim) each,
     read-only. `values` evaluates modal coefficients at the nodes,
     `integrate` sums node values over the cells, `project` maps node values
-    to L2-projected coefficients and `load` gives int(v phi_m) per cell.
+    to L2-projected coefficients and `load` gives int(v phi_m) per cell;
+    `load_source` gives int(f(t) phi_m) for a source f.
     Per direction d: `face_weights[d]` are the physical face weights,
     `boundary_cells[d]` the cells on the low and the high boundary side,
     `face_points[d]` the tangential coordinates of those sides' face nodes,
@@ -233,6 +253,7 @@ class CellQuadrature:
                                     for f in tb.faces)
         self.stiffness = tuple(math.prod(h[i] for i in o) * 2 ** (2 - dim) / h[d]
                                for d, o in enumerate(others))
+        self._separable = {}
 
     def values(self, coeffs):
         return coeffs @ self.tables.vol_flat.T
@@ -245,3 +266,16 @@ class CellQuadrature:
 
     def load(self, v):
         return ((v * self.tables.w_flat) @ self.tables.vol_flat) * self.jac
+
+    def load_source(self, f, t):
+        """int(f(t, x) phi_m) per cell. A plain callable is evaluated at the
+        nodes; a SeparableSource combines the loads of its spatial terms,
+        computed on its first use with this quadrature."""
+        if not isinstance(f, SeparableSource):
+            return self.load(f(t, *self.points))
+        shape = self.points[0].shape
+        S = self._separable.get(f)
+        if S is None:
+            S = self._separable[f] = np.stack(
+                [self.load(np.broadcast_to(s(*self.points), shape)).ravel() for _, s in f])
+        return (f.factors(t) @ S).reshape(shape[0], -1)

@@ -4,11 +4,13 @@ Each entry builds a ProblemSpec for a given mesh size together with the
 default run settings (final time, mesh-ratio or step size, flux parameter
 pairs, mesh sizes for convergence studies). Initial data, sources, boundary
 data and exact solutions are hard-coded; the manufactured sources are
-validated against the continuous operator in the test suite.
+time-separable (`SeparableSource`), and the test suite validates them
+against the continuous operator.
 """
 
 import numpy as np
 
+from .basis import SeparableSource
 from .driver import ProblemSpec, SpeciesSpec
 from .field import FluxParams
 from .mesh import build_mesh_1d, build_mesh_2d
@@ -18,15 +20,21 @@ from .poisson import PoissonBC, dirichlet, neumann
 def _example1(n, **_):
     mesh = build_mesh_1d(0.0, 1.0, n)
 
-    def f1(t, x):
-        return (50 * x**9 - 198 * x**8 + 292 * x**7 - 189 * x**6 + 45 * x**5) \
-            * np.exp(-2 * t) / 30.0 \
-            + (-x**4 + 2 * x**3 - 13 * x**2 + 12 * x - 2) * np.exp(-t)
+    def e1(t):
+        return np.exp(-t)
 
-    def f2(t, x):
-        return (x - 1) * (110 * x**9 - 430 * x**8 + 623 * x**7 - 393 * x**6 + 90 * x**5) \
-            * np.exp(-2 * t) / 60.0 \
-            + (x - 1) * (x**4 - 2 * x**3 + 21 * x**2 - 16 * x + 2) * np.exp(-t)
+    def e2(t):
+        return np.exp(-2 * t)
+
+    f1 = SeparableSource(
+        (e2, lambda x: (50 * x**9 - 198 * x**8 + 292 * x**7 - 189 * x**6 + 45 * x**5) / 30.0),
+        (e1, lambda x: -x**4 + 2 * x**3 - 13 * x**2 + 12 * x - 2),
+    )
+    f2 = SeparableSource(
+        (e2, lambda x: (x - 1) * (110 * x**9 - 430 * x**8 + 623 * x**7 - 393 * x**6
+                                  + 90 * x**5) / 60.0),
+        (e1, lambda x: (x - 1) * (x**4 - 2 * x**3 + 21 * x**2 - 16 * x + 2)),
+    )
 
     species = [
         SpeciesSpec(1.0, lambda x: x**2 * (1 - x)**2, source=f1,
@@ -101,25 +109,29 @@ def _example3(case, n, variant=None):
     def psi_ex(t, x, y):
         return a3 * np.exp(-al * t) * np.cos(x) * np.cos(y)
 
-    def _drift_core(t, x, y):
-        # common factor of the manufactured drift terms
-        e = np.exp(-al * t)
-        cc = np.cos(x) * np.cos(y)
-        s2 = np.sin(x)**2 * np.cos(y)**2 + np.cos(x)**2 * np.sin(y)**2
-        return e, cc, 2 * cc * (e * cc + 1) - e * s2
+    # the sources are sums of e^{-alpha t}, e^{-2 alpha t} and constant terms
+    def e1(t):
+        return np.exp(-al * t)
 
-    def f1(t, x, y):
-        e, cc, drift = _drift_core(t, x, y)
-        return a1 * e * cc * (2 - al) + a1 * a3 * e * drift
+    def e2(t):
+        return np.exp(-2 * al * t)
 
-    def f2(t, x, y):
-        e, cc, drift = _drift_core(t, x, y)
-        return a2 * e * cc * (2 - al) - a2 * a3 * e * drift
+    def one(t):
+        return 1.0
 
-    def f3(t, x, y):
-        e = np.exp(-al * t)
-        cc = np.cos(x) * np.cos(y)
-        return 2 * a3 * e * cc - (a1 - a2) * (e * cc + 1.0)
+    def cc(x, y):
+        return np.cos(x) * np.cos(y)
+
+    def drift2(x, y):
+        # the e^{-2 alpha t} part of the manufactured drift terms
+        return 2 * cc(x, y)**2 - (np.sin(x)**2 * np.cos(y)**2 + np.cos(x)**2 * np.sin(y)**2)
+
+    f1 = SeparableSource((e1, lambda x, y: a1 * (2 - al + 2 * a3) * cc(x, y)),
+                         (e2, lambda x, y: a1 * a3 * drift2(x, y)))
+    f2 = SeparableSource((e1, lambda x, y: a2 * (2 - al - 2 * a3) * cc(x, y)),
+                         (e2, lambda x, y: -a2 * a3 * drift2(x, y)))
+    f3 = SeparableSource((e1, lambda x, y: (2 * a3 - (a1 - a2)) * cc(x, y)),
+                         (one, lambda x, y: a2 - a1))
 
     species = [
         SpeciesSpec(1.0, lambda x, y: c1_ex(0.0, x, y), source=f1, exact=c1_ex, name="c1"),

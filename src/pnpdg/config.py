@@ -8,7 +8,7 @@ identical (round-trip identity).
 from dataclasses import dataclass
 
 from .benchmarks import BENCHMARKS, build_benchmark
-from .driver import SimConfig
+from .driver import SimConfig, check_time_settings
 from .exceptions import ConfigError
 from .field import FluxParams
 
@@ -132,6 +132,7 @@ def _validate(cfg, dt_line=None, mu_line=None):
         )
     if cfg.dt is not None and cfg.mu is not None:
         raise ConfigError("give either dt or mu, not both", dt_line or mu_line)
+    check_time_settings(cfg.T, cfg.dt, cfg.mu)
     if cfg.rk not in (1, 2):
         raise ConfigError(f"rk must be 1 or 2, got {cfg.rk}")
     if cfg.cfl not in _CFL_MODES:

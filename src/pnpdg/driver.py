@@ -11,6 +11,7 @@ configuration produces bitwise-identical trajectories.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,20 @@ from .transport import apply_mass_inverse, np_rhs
 log = logging.getLogger("pnpdg")
 
 ENTROPY_CLIP = 1e-14
+MAX_HALVINGS = 60   # adaptive CFL: step halvings allowed per step
+
+
+def check_time_settings(T, dt=None, mu=None):
+    """Rejects a final time, step size or mesh ratio that could hang a run or
+    end it silently: each given value must be finite, T >= 0, dt > 0, mu > 0."""
+    for name, value in (("t_final", T), ("dt", dt), ("mu", mu)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if T is not None and T < 0:
+        raise ConfigError(f"t_final must be >= 0, got {T}")
+    for name, value in (("dt", dt), ("mu", mu)):
+        if value is not None and value <= 0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 @dataclass
@@ -78,6 +93,9 @@ class SimConfig:
     cadence: int = 1
     override_admissibility: bool = False
     quad_n: int = 4
+
+    def __post_init__(self):
+        check_time_settings(self.T, self.dt, self.mu)
 
     def resolve_dt(self, mesh):
         if self.dt is not None:
@@ -232,9 +250,16 @@ def _check_cfl(state, prep, dt):
             f"at t={prep.t:.6g} (strict CFL mode)"
         )
     if state.config.cfl_mode == "adaptive":
-        while mu > prep.mu0:
+        for _ in range(MAX_HALVINGS):
             dt *= 0.5
             mu *= 0.5
+            if mu <= prep.mu0:
+                break
+        else:
+            raise NumericalFatalError(
+                f"adaptive CFL: mesh ratio still above mu0={prep.mu0:.6g} after "
+                f"{MAX_HALVINGS} step halvings at t={prep.t:.6g}"
+            )
         log.info("adaptive CFL: step size reduced to %.6g at t=%.6g", dt, prep.t)
         return dt
     if not state._cfl_warned:

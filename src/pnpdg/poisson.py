@@ -17,6 +17,15 @@ with the floor applied because the plain boundary penalty is exactly
 critical at beta0 = k^2 (the assembled matrix becomes singular there).
 Neumann faces contribute only load terms. The sparse matrix is constant in
 time; it is factorized once and the factorization reused for every load.
+The matrix is symmetric, so SuperLU orders it by minimum degree on A + A^T
+in symmetric mode; threshold pivoting is kept, because the zero-mean-gauge
+bordered matrix has a zero diagonal entry.
+
+The load is int((sum_i q_i c_i + rho0 + f) v) plus the boundary terms. The
+density part is the diagonal P2 mass matrix times the charge coefficients
+(the integrand has degree 4, which rules of 3 or more points integrate
+exactly), and a time-separable source f loads through its cached spatial
+loads (`CellQuadrature.load_source`).
 """
 
 import logging
@@ -104,12 +113,9 @@ class PoissonOperator:
         if self.gauge:
             m = np.zeros(self.ndof)
             m[::self.nb] = mesh.cell_volume
-            bordered = sps.bmat(
-                [[matrix, m[:, None]], [m[None, :], None]], format="csc"
-            )
-            self._lu = spla.splu(bordered)
-        else:
-            self._lu = spla.splu(matrix.tocsc())
+            matrix = sps.bmat([[matrix, m[:, None]], [m[None, :], None]])
+        self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                             options=dict(SymmetricMode=True))
 
     def solve(self, load):
         """Solve for the potential field; the cached factorization is reused."""
@@ -201,14 +207,14 @@ def assemble_load(op, densities, load, t=0.0):
     mesh = op.mesh
     quad = mesh.quadrature(op.rule)
     bb = op.boundary_penalty
-    src = np.zeros(quad.points[0].shape)
-    for q, c in zip(load.charges, densities):
-        src += q * quad.values(c.coeffs)
+    gram = basis_for(mesh).gram
+    charge = sum((q * c.coeffs for q, c in zip(load.charges, densities)),
+                 np.zeros((mesh.n_cells, len(gram))))
+    b = (quad.jac * gram) * charge
     if load.rho0 is not None:
-        src += load.rho0(*quad.points)
+        b += quad.load(load.rho0(*quad.points))
     if load.extra_source is not None:
-        src += load.extra_source(t, *quad.points)
-    b = quad.load(src)
+        b += quad.load_source(load.extra_source, t)
     for d, (h, fw, tangent) in enumerate(zip(mesh.spacing, quad.face_weights, quad.face_points)):
         for name, tv, td, sign, side in _sides(quad, d):
             bcs = op.bc.sides[name]

@@ -26,7 +26,7 @@ def np_rhs(g, weight, params, source=None, t=0.0):
 
     `source` is f(t, x[, y]) or None for a field without leading axes; for
     a field with a species axis it is a sequence of one such entry per
-    species.
+    species. A SeparableSource loads through its cached spatial loads.
     """
     mesh = g.mesh
     quad = mesh.quadrature(weight.rule)
@@ -49,12 +49,11 @@ def np_rhs(g, weight, params, source=None, t=0.0):
         on_grid[ft.minus] += (mflux @ ft.v_m - s * (mhalf @ ft.d_m)).reshape(shape)
         on_grid[ft.plus] -= (mflux @ ft.v_p + s * (mhalf @ ft.d_p)).reshape(shape)
     if callable(source):
-        rhs += quad.load(source(t, *quad.points))
+        rhs += quad.load_source(source, t)
     elif source is not None:
-        # one load for the node values of every species with a source
-        rows = [i for i, f in enumerate(source) if f is not None]
-        if rows:
-            rhs[rows] += quad.load(np.array([source[i](t, *quad.points) for i in rows]))
+        for i, f in enumerate(source):
+            if f is not None:
+                rhs[i] += quad.load_source(f, t)
     return rhs
 
 

@@ -246,3 +246,13 @@ def test_observed_orders_helper():
     assert out[0] is None and abs(out[1] - 3.0) < 1e-12
     out = observed_orders([10, 20], errs, inverse=True)
     assert abs(out[1] - 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("line", [
+    "dt = 0", "dt = -1e-5", "dt = nan", "dt = inf",
+    "mu = 0", "mu = -0.01", "mu = nan",
+    "t_final = nan", "t_final = inf", "t_final = -1",
+])
+def test_bad_time_settings_rejected(line):
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        parse_config(MINIMAL + "[time]\n" + line + "\n")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pnpdg.basis import SeparableSource
 from pnpdg.benchmarks import build_benchmark
-from pnpdg.driver import (SimConfig, SpeciesSpec, _prepare_stage, fit_steady_amplitudes,
-                          free_energy, init, minima, pnp_step, run, steady_state_init,
-                          total_mass)
+from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, _prepare_stage,
+                          fit_steady_amplitudes, free_energy, init, minima, pnp_step, run,
+                          steady_state_init, total_mass)
 from pnpdg.exceptions import ConfigError, NumericalFatalError
 from pnpdg.field import Field, l1_error, project_l2, zero_field
 from pnpdg.quadrature import gauss_rule
@@ -133,6 +134,33 @@ def test_adaptive_cfl_reduces_step():
     assert 0 < state.t - t_before < 1.0
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(T=0.1, dt=0.0), dict(T=0.1, dt=-1e-5), dict(T=0.1, dt=float("nan")),
+    dict(T=0.1, mu=0.0), dict(T=0.1, mu=-0.01), dict(T=0.1, mu=float("inf")),
+    dict(T=float("nan")), dict(T=float("inf")), dict(T=-1.0),
+])
+def test_sim_config_rejects_bad_time_settings(kwargs):
+    with pytest.raises(ConfigError):
+        SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("shrink,ok", [(1.0, True), (0.99, False)])
+def test_adaptive_cfl_halvings_are_capped(shrink, ok):
+    # mu0 set so that exactly MAX_HALVINGS halvings reach it (shrink 1), or
+    # just one more would; neither loop runs without end
+    problem, _ = build_benchmark("example2", 8)
+    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    dt = 1e-3
+    prep = state.prepared_stage()
+    prep.mu0 = shrink * dt / state.mesh.h ** 2 * 0.5 ** MAX_HALVINGS
+    if ok:
+        pnp_step(state, dt)
+        assert state.t == dt * 0.5 ** MAX_HALVINGS
+    else:
+        with pytest.raises(NumericalFatalError, match="halvings"):
+            pnp_step(state, dt)
+
+
 def test_example2_run_mass_and_energy():
     problem, _ = build_benchmark("example2", 8)
     res = run(problem, SimConfig(T=0.02, mu=0.01))
@@ -233,6 +261,25 @@ def test_example3_sources_satisfy_pde(case, variant, rng):
     assert np.max(np.abs(problem.species[0].source(ts, xs, ys) - f1(ts, xs, ys))) < 1e-10
     assert np.max(np.abs(problem.species[1].source(ts, xs, ys) - f2(ts, xs, ys))) < 1e-10
     assert np.max(np.abs(problem.poisson_source(ts, xs, ys) - f3(ts, xs, ys))) < 1e-10
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("example1", {}), ("example3-1", {}), ("example3-2", {}), ("example3-3", {}),
+    ("example3-4", {"variant": "a"}), ("example3-4", {"variant": "b"}),
+    ("example3-4", {"variant": "c"}),
+])
+def test_registry_sources_are_separable(name, kwargs):
+    problem, _ = build_benchmark(name, 6, **kwargs)
+    quad = problem.mesh.quadrature(gauss_rule(4))
+    sources = [sp.source for sp in problem.species] + [problem.poisson_source]
+    sources = [f for f in sources if f is not None]
+    assert sources and all(isinstance(f, SeparableSource) for f in sources)
+    for f in sources:
+        for t in (0.0, 0.37, 2.5):
+            vals = f(t, *quad.points)
+            assert np.array_equal(vals, sum(a(t) * s(*quad.points) for a, s in f))
+            ref = quad.load(vals)
+            assert np.abs(quad.load_source(f, t) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_zero_step_is_identity():

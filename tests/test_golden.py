@@ -18,7 +18,7 @@ from pnpdg.benchmarks import build_benchmark
 from pnpdg.driver import SimConfig, init, pnp_step
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MODE = "bitwise"
+MODE = "roundoff"
 ROUNDOFF_FACTOR = 10.0
 
 

@@ -3,11 +3,12 @@ import logging
 import numpy as np
 import pytest
 
+from pnpdg.benchmarks import build_benchmark
 from pnpdg.exceptions import NumericalFatalError
 from pnpdg.field import Field, FluxParams, l1_error, project_l2
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.poisson import (LoadSpec, PoissonBC, assemble_load, assemble_operator,
-                           dirichlet, gamma_d, neumann)
+from pnpdg.poisson import (BoundaryCondition, LoadSpec, PoissonBC, assemble_load,
+                           assemble_operator, dirichlet, gamma_d, neumann)
 
 P16 = FluxParams(4.0, 1 / 6)
 
@@ -194,3 +195,40 @@ def test_gauged_solution_has_zero_mean():
     resid = op.matrix @ psi.coeffs.ravel() - b
     # residual orthogonal to the complement of the constant mode
     assert np.abs(resid - resid.reshape(8, 3)[:, 0].mean() * np.tile([1, 0, 0], 8)).max() < 1e-10
+
+
+def test_symmetric_ordering_fill():
+    # minimum degree on A + A^T: 249,389 factor entries at Example 4 N=20,
+    # where the default COLAMD ordering gave 472,729
+    problem, _ = build_benchmark("example4", 20)
+    op = assemble_operator(problem.mesh, problem.poisson_params, problem.poisson_bc)
+    assert op._lu.L.nnz + op._lu.U.nnz <= 300_000
+
+
+@pytest.mark.parametrize("n", [5, 10, 20, 80])
+def test_example2_gauge_solve_residual(n):
+    problem, _ = build_benchmark("example2", n)
+    mesh = problem.mesh
+    op = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc)
+    cs = [project_l2(sp.c_init, mesh) for sp in problem.species]
+    b = assemble_load(op, cs, problem.load_spec(), t=0.0)
+    b[::3] -= b[::3].mean()   # exactly neutral, so the gauge multiplier is zero
+    psi = op.solve(b).coeffs
+    assert np.abs(op.matrix @ psi.ravel() - b).max() <= 1e-12 * np.abs(b).max()
+    assert abs(psi[:, 0].sum()) <= 1e-12 * np.abs(psi).max()
+
+
+@pytest.mark.parametrize("name", ["example1", "example3-3"])
+def test_density_load_is_diagonal_mass(name):
+    # Example 3-3, not 3-1: the 3-1 densities carry no net charge
+    problem, _ = build_benchmark(name, 40)
+    mesh = problem.mesh
+    # zero boundary data, so the load is the density part alone
+    bc = PoissonBC({s: BoundaryCondition(b.kind, lambda t, *x: 0.0)
+                    for s, b in problem.poisson_bc.sides.items()})
+    op = assemble_operator(mesh, problem.poisson_params, bc)
+    cs = [project_l2(sp.c_init, mesh) for sp in problem.species]
+    b = assemble_load(op, cs, LoadSpec(problem.charges), t=0.0)
+    quad = mesh.quadrature(op.rule)
+    ref = quad.load(quad.values(sum(q * c.coeffs for q, c in zip(problem.charges, cs))))
+    assert np.abs(b - ref.ravel()).max() <= 1e-15 * np.abs(ref).max()
