@@ -80,15 +80,13 @@ class _Rounded:
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.saved = {k: getattr(driver, k) for k in ("assemble_operator", "assemble_load",
-                                                       "np_rhs")}
+        self.saved = (driver.assemble_operator, driver.assemble_load, driver.np_rhs)
 
     def _round(self, x):
         return x + self.rng.choice((-1.0, 1.0), size=np.shape(x)) * x * HALF_EPS
 
     def __enter__(self):
-        assemble_operator, assemble_load, np_rhs = (self.saved[k] for k in (
-            "assemble_operator", "assemble_load", "np_rhs"))
+        assemble_operator, assemble_load, np_rhs = self.saved
 
         def rounded_operator(*args, **kwargs):
             op = assemble_operator(*args, **kwargs)
@@ -109,14 +107,12 @@ class _Rounded:
                     rhs[i] += self._round(quad.load(f(t, *quad.points)))
             return rhs
 
-        driver.assemble_operator = rounded_operator
-        driver.assemble_load = rounded_load
-        driver.np_rhs = rounded_rhs
+        driver.assemble_operator, driver.assemble_load, driver.np_rhs = (
+            rounded_operator, rounded_load, rounded_rhs)
         return self
 
     def __exit__(self, *exc):
-        for k, v in self.saved.items():
-            setattr(driver, k, v)
+        driver.assemble_operator, driver.assemble_load, driver.np_rhs = self.saved
 
 
 def floors(name, golden):
