@@ -13,7 +13,7 @@ from .field import (Field, FluxParams, cell_average, eval_at_points, l1_error, p
 from .mesh import Mesh1D, Mesh2D, build_mesh_1d, build_mesh_2d
 from .poisson import (BoundaryCondition, LoadSpec, PoissonBC, PoissonOperator,
                       assemble_load, assemble_operator, dirichlet, gamma_d, neumann)
-from .positivity import (CflReport, LimiterReport, TestSet1D, TestSet2D, WeightField,
+from .positivity import (CflReport, LimiterReport, TestSet, WeightField,
                          build_test_set, build_weight, cfl_mu0, scaling_limiter,
                          test_set_values, weighted_projection)
 from .quadrature import QuadRule, gauss_rule

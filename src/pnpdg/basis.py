@@ -107,7 +107,9 @@ class FaceTables:
     minus-side cell (at xi_d = +1), `v_p`, `d_p`, `d2_p` those of the
     plus-side cell (at xi_d = -1), each (ns, nb) over the ns face nodes.
     `dvol` is d/dxi_d at the volume nodes, `weights` the reference face
-    weights, and `axis` the grid axis of d in a (..., *grid, nb) array.
+    weights, `line_coeffs` the Legendre coefficients along d of every basis
+    function on the quadrature lines through the face nodes, (nb, ns*3),
+    and `axis` the grid axis of d in a (..., *grid, nb) array.
     `minus`, `plus` and `inner` index the minus- and plus-side cells of the
     interior faces in such an array, and the interior faces in an array
     over all faces.
@@ -130,6 +132,14 @@ class FaceTables:
             for k, name in enumerate(names):
                 setattr(self, name, table(k, xi))
         self.dvol = table(1, _node_grid(rule, dim)).reshape(-1, basis.nb)
+        # on the line of direction d through face node s, basis function m is
+        # a Legendre series in xi_d with coefficients line_coeffs[m, 3s:3s+3]; one
+        # line per cell and the identity in 1D
+        line = np.zeros((basis.nb, len(self.weights), K + 1))
+        for m, p in enumerate(basis.pairs):
+            line[m, :, p[d]] = math.prod((legendre_vals(x)[:, a] for x, a in
+                                          zip(tangent, p[:d] + p[d + 1:])), start=1.0)
+        self.line_coeffs = line.reshape(basis.nb, -1)
 
     def at(self, s):
         """Index of grid position(s) `s` along this direction."""
@@ -153,7 +163,8 @@ class FaceTables:
 
 class Tables:
     """Basis values at the tensor quadrature nodes, flattened to (nq^dim, nb),
-    the projection and moment tables, and one FaceTables per direction."""
+    the projection and moment tables, the moment and coefficient tables of
+    every quadrature line, and one FaceTables per direction."""
 
     def __init__(self, basis, rule):
         self.rule = rule
@@ -167,8 +178,16 @@ class Tables:
             len(self.w_flat), -1)
         # weighted moment table: node -> weights/2 * (1, xi, xi^2), one direction
         self.mom = 0.5 * rule.weights[:, None] * np.stack([np.ones_like(q), q, q * q], -1)
+        # the same moments on every quadrature line of every direction, x
+        # lines first: node values (..., nq^dim) -> (..., n_lines * 3)
+        unit = np.eye(len(self.w_flat)).reshape((-1,) + (rule.n,) * dim)
+        self.line_mom = np.concatenate(
+            [np.tensordot(unit, self.mom, axes=([1 + d], [0])).reshape(len(unit), -1)
+             for d in range(dim)], axis=1)
         self.proj = _polish_projection(self.vol_flat, self.w_flat, basis.gram)
         self.faces = tuple(FaceTables(basis, rule, d) for d in range(dim))
+        # the line coefficients of every quadrature line, x lines first
+        self.line_coeffs = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
         # side traces under the names the positivity kernels use (1D; 2D)
         fx, fy = self.faces[0], self.faces[-1]
         self.at_r, self.at_l = fx.v_m[0], fx.v_p[0]

@@ -89,14 +89,13 @@ def weighted_cell_average(field, weight, cell=None):
     and the weight broadcast: the result has shape (..., n_cells), or (...)
     for one `cell`.
     """
-    mesh, rule = field.mesh, weight.rule
-    quad = mesh.quadrature(rule)
+    mesh = field.mesh
+    quad = mesh.quadrature(weight.rule)
     mv = weight.vol.reshape(weight.vol.shape[:-mesh.dim] + (-1,))
     num = (mv * quad.values(field.coeffs)) @ (quad.tables.w_flat / 2 ** mesh.dim)
-    if mesh.dim == 1:
-        den = weight.moments[..., 0]
-    else:
-        den = weight.moments_along("x")[..., 0] @ rule.avg_weights
+    # the zeroth moments of the x lines, averaged over the cross direction
+    across = quad.tables.faces[0].weights / 2 ** (mesh.dim - 1)
+    den = weight.line_moments()[..., :len(across), 0] @ across
     if np.any(den <= 0):
         raise ValueError("nonpositive weight integral in weighted_cell_average")
     out = num / den

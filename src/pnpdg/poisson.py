@@ -129,15 +129,6 @@ class PoissonOperator:
         return Field(self.mesh, sol.reshape(self.mesh.n_cells, self.nb), role="potential")
 
 
-def _coo_blocks(block, row_cells, col_cells, nb):
-    """Tile one dense (nb, nb) block over cell pairs given by cell indices."""
-    rows = nb * row_cells[:, None, None] + np.arange(nb)[None, :, None]
-    cols = nb * col_cells[:, None, None] + np.arange(nb)[None, None, :]
-    shape = (len(row_cells), nb, nb)
-    return (np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel(),
-            np.broadcast_to(block, shape).ravel())
-
-
 def _sides(quad, d):
     """Both boundary sides of direction d: name, one-sided trace and normal
     derivative tables, outward normal sign and the boundary cells."""
@@ -173,10 +164,16 @@ def assemble_operator(mesh, params, bc, rule=DEFAULT_RULE):
         for name, tv, td, sign, side in _sides(quad, d):
             if bc.sides[name].kind == "dirichlet":
                 blocks.append((_dirichlet_block(tv, td, sign, h, fw, bb), side, side))
-    rows, cols, vals = (np.concatenate(a) for a in
-                        zip(*(_coo_blocks(b, r, col, nb) for b, r, col in blocks)))
+    # tile each dense (nb, nb) block over its cell pairs, block by block in
+    # the order above: the duplicate entries sum in that order
+    mats, row_cells, col_cells = zip(*blocks)
+    vals = np.repeat(np.stack(mats), [len(r) for r in row_cells], axis=0)
+    shift = np.arange(nb)
+    rows = nb * np.concatenate(row_cells)[:, None, None] + shift[:, None]
+    cols = nb * np.concatenate(col_cells)[:, None, None] + shift
+    rows, cols = (np.broadcast_to(x, vals.shape).ravel() for x in (rows, cols))
     nd = nb * mesh.n_cells
-    A = sps.csr_matrix(sps.coo_matrix((vals, (rows, cols)), shape=(nd, nd)))
+    A = sps.csr_matrix((vals.ravel(), (rows, cols)), shape=(nd, nd))
     return PoissonOperator(mesh, params, bc, rule, A, bb)
 
 

@@ -1,8 +1,9 @@
 """Positivity machinery for the transformed transport unknown g = c / M.
 
 The exponential weight M = exp(-q psi) is cached at quadrature and trace
-points. Per cell (per quadrature line in 2D) the weighted moments of
-{1, xi, xi^2} determine
+points. Per quadrature line (one per cell in 1D; in 2D the lines along x
+through the y nodes, then those along y through the x nodes) the weighted
+moments of {1, xi, xi^2} determine
 
   * an admissible interval (a, b) of interior test nodes,
   * a three-point test set {-1, gamma, 1} (scaled to the cell),
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_vals, tables_for
+from .basis import tables_for
 from .exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
 from .field import DEFAULT_RULE, Field, weighted_cell_average
 
@@ -55,29 +56,32 @@ class WeightField:
         self.q = q
         for name, arr in caches.items():
             setattr(self, name, arr)
-        self._mom = None
-        self._mom_x = None
-        self._mom_y = None
+        self._lines = None
+
+    def line_moments(self):
+        """Weighted moments <xi_d^k> on every quadrature line of the cells,
+        (..., n, n_lines, 3). 1D has one line per cell; in 2D the first nq
+        lines run along x, one per y node, and the next nq along y, one per
+        x node."""
+        if self._lines is None:
+            t = tables_for(self.mesh, self.rule)
+            mv = self.vol.reshape(self.vol.shape[:-self.mesh.dim] + (-1,))
+            self._lines = (mv @ t.line_mom).reshape(mv.shape[:-1] + (-1, 3))
+        return self._lines
 
     @property
     def moments(self):
         """1D weighted moments <xi^k>, shape (..., n, 3)."""
-        if self._mom is None:
-            tb = tables_for(self.mesh, self.rule)
-            self._mom = self.vol @ tb.mom
-        return self._mom
+        return self.line_moments()[..., 0, :]
 
     def moments_along(self, axis):
-        """2D weighted moments per quadrature line: <xi^k>_j(y_l^s) for axis 'x'
-        (shape (..., n, nq, 3), middle index = the fixed cross line), likewise 'y'."""
-        tb = tables_for(self.mesh, self.rule)
-        if axis == "x":
-            if self._mom_x is None:
-                self._mom_x = np.tensordot(self.vol, tb.mom, axes=([-2], [0]))
-            return self._mom_x
-        if self._mom_y is None:
-            self._mom_y = self.vol @ tb.mom
-        return self._mom_y
+        """2D weighted moments on the lines along 'x' or 'y', (..., n, nq, 3)."""
+        nq = self.rule.n
+        return self.line_moments()[..., slice(nq) if axis == "x" else slice(nq, None), :]
+
+    def face_means(self, d):
+        """{M} on the faces normal to direction d, (..., *faces, ns) in grid order."""
+        return self.face[..., None] if self.mesh.dim == 1 else (self.xface, self.yface)[d]
 
 
 def build_weight(psi, q, rule=DEFAULT_RULE):
@@ -176,109 +180,98 @@ def _lagrange_weights(m0, m1, m2, g):
 
 
 @dataclass
-class TestSet1D:
-    """Per-cell interval, interior node and decomposition weights; the
-    leading axes are those of the weight field."""
+class TestSet:
+    """Interval ends `lo`, `hi` and interior node `gammas` of every
+    quadrature line, (..., n, n_lines), and the line's decomposition weights
+    `line_weights`, (..., n, n_lines, 3); the lines are those of
+    `WeightField.line_moments` and the leading axes those of the weight."""
 
     rule: object
-    a: np.ndarray        # (..., n)
-    b: np.ndarray
-    gamma: np.ndarray
-    weights: np.ndarray  # (..., n, 3)
+    lo: np.ndarray
+    hi: np.ndarray
+    gammas: np.ndarray
+    line_weights: np.ndarray
 
-
-@dataclass
-class TestSet2D:
-    """Per-direction line data: arrays indexed (..., cell, cross-line node)."""
-
-    rule: object
-    ax: np.ndarray
-    bx: np.ndarray
-    gamma_x: np.ndarray     # (..., n, nq)
-    weights_x: np.ndarray   # (..., n, nq, 3)
-    ay: np.ndarray
-    by: np.ndarray
-    gamma_y: np.ndarray
-    weights_y: np.ndarray
-
-    @property
-    def n_points(self):
-        return 6 * self.rule.n
+    # per-direction views: one line per cell in 1D; in 2D the first nq lines
+    # of a cell run along x and the rest along y
+    a = property(lambda self: self.lo[..., 0])
+    b = property(lambda self: self.hi[..., 0])
+    gamma = property(lambda self: self.gammas[..., 0])
+    weights = property(lambda self: self.line_weights[..., 0, :])
+    ax = property(lambda self: self.lo[..., :self.rule.n])
+    bx = property(lambda self: self.hi[..., :self.rule.n])
+    gamma_x = property(lambda self: self.gammas[..., :self.rule.n])
+    weights_x = property(lambda self: self.line_weights[..., :self.rule.n, :])
+    weights_y = property(lambda self: self.line_weights[..., self.rule.n:, :])
 
 
 def build_test_set(weight, params, cap=True):
-    """Admissible test set and decomposition weights for every cell."""
-    if weight.mesh.dim == 1:
-        m = weight.moments
-        a, b = _intervals(m[..., 0], m[..., 1], m[..., 2])
-        g = _select_gammas(a, b, params.beta1, cap)
-        w = np.stack(_lagrange_weights(m[..., 0], m[..., 1], m[..., 2], g), axis=-1)
-        return TestSet1D(weight.rule, a, b, g, w)
-    mx = weight.moments_along("x")
-    ax, bx = _intervals(mx[..., 0], mx[..., 1], mx[..., 2])
-    gx = _select_gammas(ax, bx, params.beta1, cap)
-    wx = np.stack(_lagrange_weights(mx[..., 0], mx[..., 1], mx[..., 2], gx), axis=-1)
-    my = weight.moments_along("y")
-    ay, by = _intervals(my[..., 0], my[..., 1], my[..., 2])
-    gy = _select_gammas(ay, by, params.beta1, cap)
-    wy = np.stack(_lagrange_weights(my[..., 0], my[..., 1], my[..., 2], gy), axis=-1)
-    return TestSet2D(weight.rule, ax, bx, gx, wx, ay, by, gy, wy)
+    """Admissible test set and decomposition weights on every quadrature line."""
+    m = weight.line_moments()
+    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
+    a, b = _intervals(m0, m1, m2)
+    g = _select_gammas(a, b, params.beta1, cap)
+    w = np.stack(_lagrange_weights(m0, m1, m2, g), axis=-1)
+    return TestSet(weight.rule, a, b, g, w)
 
 
 def weighted_projection(c, weight):
     """Solve the per-cell weighted mass systems int(g M r) = int(c r) for g.
 
     The weighted average of the result equals the plain cell average of c
-    (take r = 1), which is what the limiter conserves. The leading axes of
-    c and the weight match; all systems go to one batched solve.
+    (take r = 1), which is what the limiter conserves. The systems of every
+    leading index and cell, B in all, are laid out batch-last, (nb, nb, B),
+    and solved together by Gaussian elimination without pivoting: W is
+    symmetric positive definite when M > 0, since the Gauss weights are
+    positive, so a nonpositive pivot means a nonpositive weight.
     """
-    mesh = c.mesh
-    rule = weight.rule
-    t = tables_for(mesh, rule)
-    nb = c.basis.nb
-    lead = c.coeffs.shape[:-2]
-    if mesh.dim == 1:
-        mv, qw = weight.vol, rule.weights
-    else:
-        mv, qw = weight.vol.reshape(lead + (mesh.n_cells, -1)), t.w_flat
+    t = tables_for(c.mesh, weight.rule)
+    gram = c.basis.gram
+    nb = len(gram)
+    coeffs = c.coeffs.reshape(-1, nb)
+    mv = weight.vol.reshape(len(coeffs), -1)
     # W = m_ref * diag(gram) + Q[(M - m_ref) phi_m phi_l], m_ref one node value
     # of M per cell: a cell-constant weight gives an exactly diagonal W (the
     # plain quadrature Gram has ~1e-16 off-diagonal roundoff), so where M and
     # c are both constant g has exactly zero higher modes and the constant
     # steady state is an exact discrete fixed point
-    m_ref = mv[..., :1]
-    W = (((mv - m_ref) * qw) @ t.vol_outer).reshape(lead + (-1, nb, nb))
-    W[..., np.arange(nb), np.arange(nb)] += m_ref * c.basis.gram
+    m_ref = mv[:, 0]
+    W = t.vol_outer.T @ ((mv - m_ref[:, None]) * t.w_flat).T
+    W[::nb + 1] += gram[:, None] * m_ref    # the diagonal rows of the flat W
+    W = W.reshape(nb, nb, -1)
     # solve for the deviation from the plain cell average
-    avg = c.coeffs[..., :1]
-    rhs = c.coeffs * c.basis.gram - avg * W[..., :, 0]
-    g = np.linalg.solve(W, rhs[..., None])[..., 0]
-    g[..., 0] += avg[..., 0]
-    if not np.all(np.isfinite(g)):
+    avg = coeffs[:, 0]
+    x = (coeffs * gram).T - avg * W[:, 0]
+    for k in range(nb):
+        if not W[k, k].min() > 0.0:
+            raise NumericalFatalError(
+                "weighted mass matrix has a nonpositive pivot (non-positive weight?)")
+        f = W[k + 1:, k] / W[k, k]
+        W[k + 1:, k + 1:] -= f[:, None] * W[k, k + 1:]
+        x[k + 1:] -= f * x[k]
+    for k in reversed(range(nb)):
+        x[k] /= W[k, k]
+        x[:k] -= W[:k, k] * x[k]
+    x[0] += avg
+    if not np.all(np.isfinite(x)):
         raise NumericalFatalError("weighted mass solve failed (non-positive weight?)")
-    return Field(mesh, g, role="auxiliary")
+    return Field(c.mesh, x.T.reshape(c.coeffs.shape), role="auxiliary")
 
 
 def test_set_values(g, testset):
-    """Evaluate a field on every test point; (..., n, 3) in 1D, (..., n, 6*nq) in 2D."""
-    mesh = g.mesh
-    t = tables_for(mesh, testset.rule)
-    if mesh.dim == 1:
-        at_g = np.einsum("...m,...m->...", g.coeffs, legendre_vals(testset.gamma))
-        return np.stack([g.coeffs @ t.at_l, at_g, g.coeffs @ t.at_r], axis=-1)
-    ly = legendre_vals(testset.rule.nodes)   # (nq, 3) 1D Legendre along the cross line
-    pairs = g.basis.pairs
-    # x-direction triples on each y-line: xi in {-1, gamma_x, +1}, eta = node
-    gxv = legendre_vals(testset.gamma_x)     # (..., n, nq, 3)
-    phix = np.stack([gxv[..., a] * ly[:, b] for a, b in pairs], axis=-1)
-    at_gx = np.einsum("...nm,...nsm->...ns", g.coeffs, phix)
-    vx = np.stack([g.coeffs @ t.x_l.T, at_gx, g.coeffs @ t.x_r.T], axis=-1)  # (..., n, nq, 3)
-    gyv = legendre_vals(testset.gamma_y)
-    phiy = np.stack([ly[:, a] * gyv[..., b] for a, b in pairs], axis=-1)
-    at_gy = np.einsum("...nm,...nsm->...ns", g.coeffs, phiy)
-    vy = np.stack([g.coeffs @ t.y_b.T, at_gy, g.coeffs @ t.y_t.T], axis=-1)
-    shape = vx.shape[:-2] + (-1,)
-    return np.concatenate([vx.reshape(shape), vy.reshape(shape)], axis=-1)
+    """Values of g on every test point, (..., n, n_lines * 3): per quadrature
+    line, at xi_d = -1, gamma and 1.
+
+    On a line of direction d, g is a Legendre quadratic a0 + a1 L1 + a2 L2
+    in xi_d; one table gives the coefficients of every line.
+    """
+    gam = testset.gammas
+    coef = g.coeffs @ tables_for(g.mesh, testset.rule).line_coeffs
+    a = coef.reshape(gam.shape + (3,))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    even = a0 + a2
+    at_g = a0 + gam * (a1 + 1.5 * gam * a2) - 0.5 * a2
+    return np.stack([even - a1, at_g, even + a1], axis=-1).reshape(coef.shape)
 
 
 @dataclass
@@ -327,19 +320,14 @@ class CflReport:
     """Mesh-ratio bound mu0 = sup {dt/h^2 : positivity guaranteed}.
 
     `valid` is False when the flux parameters sit outside the proven range,
-    in which case mu0 is NaN and no guarantee is claimed.
+    in which case mu0 is NaN and no guarantee is claimed. `mu0_x` and
+    `mu0_y` are the bounds of the x and the y lines (`mu0_y` only in 2D).
     """
 
     mu0: float
     valid: bool
     mu0_x: float = None
     mu0_y: float = None
-    per_cell: np.ndarray = None
-
-    def mu(self, mesh, dt):
-        if mesh.dim == 1:
-            return dt / mesh.h ** 2
-        return dt / mesh.dx ** 2 + dt / mesh.dy ** 2
 
 
 def _alpha1(gamma, beta1):
@@ -369,31 +357,16 @@ def cfl_mu0(weight, testset, params):
     if not params.in_positivity_range():
         return CflReport(float("nan"), False)
     mesh = weight.mesh
-    if mesh.dim == 1:
-        m = weight.moments
-        lo = weight.face[..., :-1]
-        hi = weight.face[..., 1:]
-        terms = _mu0_terms(
-            testset.weights[..., 0], testset.weights[..., 2],
-            m[..., 0], m[..., 2], testset.gamma, lo, hi, params,
-        )
-        return CflReport(float(terms.min()), True, per_cell=terms)
-    nq = weight.rule.n
-    lines = weight.xface.shape[:-3] + (-1, nq)
-    mx = weight.moments_along("x")
-    lo = weight.xface[..., :-1, :].reshape(lines)
-    hi = weight.xface[..., 1:, :].reshape(lines)
-    tx = _mu0_terms(
-        testset.weights_x[..., 0], testset.weights_x[..., 2],
-        mx[..., 0], mx[..., 2], testset.gamma_x, lo, hi, params,
-    )
-    my = weight.moments_along("y")
-    lo = weight.yface[..., :-1, :, :].reshape(lines)
-    hi = weight.yface[..., 1:, :, :].reshape(lines)
-    ty = _mu0_terms(
-        testset.weights_y[..., 0], testset.weights_y[..., 2],
-        my[..., 0], my[..., 2], testset.gamma_y, lo, hi, params,
-    )
-    mu0_x = float(tx.min())
-    mu0_y = float(ty.min())
-    return CflReport(min(mu0_x, mu0_y), True, mu0_x=mu0_x, mu0_y=mu0_y)
+    # {M} on the low and the high face of every line, written per direction
+    # through a (..., *grid, dim, lines per direction) view
+    lo, hi = np.empty(testset.gammas.shape), np.empty(testset.gammas.shape)
+    grid = lo.shape[:-2] + mesh.grid + (mesh.dim, -1)
+    for d, ft in enumerate(tables_for(mesh, weight.rule).faces):
+        mf = weight.face_means(d)
+        lo.reshape(grid)[..., d, :] = mf[ft.minus]
+        hi.reshape(grid)[..., d, :] = mf[ft.plus]
+    m, w = weight.line_moments(), testset.line_weights
+    terms = _mu0_terms(w[..., 0], w[..., 2], m[..., 0], m[..., 2], testset.gammas, lo, hi,
+                       params).reshape(lo.shape[:-1] + (mesh.dim, -1))
+    per_dir = [float(terms[..., d, :].min()) for d in range(mesh.dim)]
+    return CflReport(min(per_dir), True, *per_dir)

@@ -41,7 +41,7 @@ def np_rhs(g, weight, params, source=None, t=0.0):
     c = c.reshape(on_grid.shape)
     for d, (ft, h, fw) in enumerate(zip(faces, mesh.spacing, quad.face_weights)):
         gm, gp, flux = ft.flux(c, h, params)
-        mf = _face_weight(weight, d)[ft.inner].reshape(flux.shape)
+        mf = weight.face_means(d)[ft.inner].reshape(flux.shape)
         mflux = (mf * flux) * fw
         mhalf = (mf * (0.5 * (gp - gm))) * fw   # g_inner - {g} = -/+ half on the minus/plus side
         s = 2.0 / h
@@ -55,13 +55,6 @@ def np_rhs(g, weight, params, source=None, t=0.0):
             if f is not None:
                 rhs[i] += quad.load_source(f, t)
     return rhs
-
-
-def _face_weight(weight, d):
-    """{M} on the faces normal to direction d, laid out (..., *faces, ns)."""
-    if weight.mesh.dim == 1:
-        return weight.face[..., None]
-    return (weight.xface, weight.yface)[d]
 
 
 def apply_mass_inverse(mesh, basis, rhs):
@@ -81,16 +74,16 @@ def decomposition_cell_averages(g, weight, testset, params, dt):
     quad = mesh.quadrature(weight.rule)
     n = mesh.n_cells
     vals = test_set_values(g, testset).reshape(n, mesh.dim, -1, 3)
-    lines = (testset.weights,) if mesh.dim == 1 else (testset.weights_x, testset.weights_y)
     mus = [dt / h ** 2 for h in mesh.spacing]
     mu = sum(mus)
     c = g.coeffs.reshape(mesh.grid + (-1,))
     out = 0.0
-    for d, (ft, h, w) in enumerate(zip(quad.tables.faces, mesh.spacing, lines)):
-        mf = _face_weight(weight, d)
+    weights = testset.line_weights.reshape(n, mesh.dim, -1, 3)
+    for d, (ft, h) in enumerate(zip(quad.tables.faces, mesh.spacing)):
+        mf = weight.face_means(d)
         mflux = np.zeros(mf.shape)   # zero flux on the boundary faces
         mflux[ft.inner] = mf[ft.inner] * ft.flux(c, h, params)[2].reshape(mf[ft.inner].shape)
-        line = np.einsum("nsi,nsi->ns", w.reshape(n, -1, 3), vals[:, d]) \
+        line = np.einsum("nsi,nsi->ns", weights[:, d], vals[:, d]) \
             + mu * h * np.diff(mflux, axis=ft.axis).reshape(n, -1)
         out = out + (mus[d] / mu) * (line @ (ft.weights / 2 ** (mesh.dim - 1)))
     return out

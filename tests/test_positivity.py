@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pnpdg.basis import basis_for
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
 from pnpdg.field import Field, FluxParams, project_l2, weighted_cell_average, zero_field
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from oracles import choose_gamma, decomposition_weights, weight_from_values
+from oracles import choose_gamma, decomposition_weights, eval_field, weight_from_values
 from oracles import test_interval as admissible_interval
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
@@ -74,6 +75,43 @@ def test_weighted_projection_residual():
     gm = (g.coeffs @ t.vol.T) * w.vol
     res = np.einsum("q,nq,qm->nm", RULE.weights, gm, t.vol) - c.coeffs * c.basis.gram
     assert np.max(np.abs(res)) < 1e-12
+
+
+def contrast_psi(mesh, rng, bound=5.0):
+    """Random P2 potential with |psi| <= bound: every Legendre product is at
+    most 1 in size, so each cell's coefficient sum bounds psi there."""
+    p = rng.normal(size=(mesh.n_cells, basis_for(mesh).nb))
+    return Field(mesh, p * (bound / np.abs(p).sum(axis=1, keepdims=True)), role="potential")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_projection_residual_high_contrast(dim, rng):
+    # |q psi| <= 5 lets M vary by up to e^10 within a cell. The residual of
+    # int(g M r) = int(c r) is measured against the size of its terms,
+    # sum_l |W_rl| |g_l|, which bounds the error of a backward-stable solve
+    mesh = build_mesh_1d(0, 1, 9) if dim == 1 else build_mesh_2d(1.0, 0.6, 5, 3)
+    quad = mesh.quadrature(RULE)
+    vals, wq = quad.tables.vol_flat, quad.tables.w_flat
+    for _ in range(40):
+        w = build_weight(contrast_psi(mesh, rng), rng.choice([-1.0, 1.0]), RULE)
+        c = Field(mesh, rng.normal(size=(mesh.n_cells, vals.shape[1])))
+        g = weighted_projection(c, w)
+        mw = w.vol.reshape(mesh.n_cells, -1) * wq
+        res = (quad.values(g.coeffs) * mw) @ vals - (quad.values(c.coeffs) * wq) @ vals
+        size = ((np.abs(g.coeffs) @ np.abs(vals).T) * mw) @ np.abs(vals)
+        assert np.all(np.abs(res) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_projection_rejects_nonpositive_weight(dim):
+    # a negative node value of M makes the weighted Gram indefinite, so the
+    # elimination meets a nonpositive pivot
+    mesh = build_mesh_1d(0, 1, 3) if dim == 1 else build_mesh_2d(1.0, 1.0, 2, 2)
+    w = weight_from_values(mesh, RULE, np.ones((mesh.n_cells,) + (RULE.n,) * dim))
+    w.vol[(1,) + (0,) * dim] = -1.0e3   # one node of cell 1
+    c = Field(mesh, np.ones((mesh.n_cells, basis_for(mesh).nb)))
+    with pytest.raises(NumericalFatalError, match="pivot"):
+        weighted_projection(c, w)
 
 
 def test_interval_unit_weight():
@@ -162,6 +200,31 @@ def test_test_set_2d_lines(rng):
     assert abs(a - ts.ax[3, 2]) < 1e-15 and abs(b - ts.bx[3, 2]) < 1e-15
     w1, w2_, w3 = decomposition_weights(w, 3, ts.gamma_x[3, 2], line=("x", 2))
     assert abs(w1 - ts.weights_x[3, 2, 0]) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_test_set_values_match_pointwise_oracle(dim, rng):
+    # two species, dx != dy in 2D; output per cell: the lines of x then of y,
+    # each at xi_d = -1, gamma and +1, with the line's cross node fixed
+    mesh = build_mesh_1d(0, 1, 5) if dim == 1 else build_mesh_2d(1.0, 0.6, 4, 3)
+    nb, nq = basis_for(mesh).nb, RULE.n
+    w = build_weight(random_psi(mesh, rng, scale=0.2), np.array([1.0, -1.0]), RULE)
+    ts = build_test_set(w, PP)
+    g = Field(mesh, rng.normal(size=(2, mesh.n_cells, nb)))
+    vals = values_on_test_set(g, ts)
+    n_lines = ts.gammas.shape[-1]
+    assert vals.shape == (2, mesh.n_cells, 3 * n_lines)
+    for i in range(2):
+        gi = Field(mesh, g.coeffs[i])
+        scale = np.abs(gi.coeffs).sum(axis=-1).max()
+        for cell in range(mesh.n_cells):
+            for line in range(n_lines):
+                d, s = divmod(line, nq)
+                for k, xi in enumerate((-1.0, ts.gammas[i, cell, line], 1.0)):
+                    cross = RULE.nodes[s]
+                    point = (xi,) if dim == 1 else (xi, cross) if d == 0 else (cross, xi)
+                    assert abs(vals[i, cell, 3 * line + k] - eval_field(gi, cell, point)) \
+                        <= 1e-14 * scale
 
 
 def test_limiter_inactive_on_nonnegative():
