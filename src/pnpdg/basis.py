@@ -188,10 +188,6 @@ class Tables:
         self.faces = tuple(FaceTables(basis, rule, d) for d in range(dim))
         # the line coefficients of every quadrature line, x lines first
         self.line_coeffs = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
-        # side traces under the names the positivity kernels use (1D; 2D)
-        fx, fy = self.faces[0], self.faces[-1]
-        self.at_r, self.at_l = fx.v_m[0], fx.v_p[0]
-        self.x_r, self.x_l, self.y_t, self.y_b = fx.v_m, fx.v_p, fy.v_m, fy.v_p
 
 
 def _polish_projection(vals, weights, gram):

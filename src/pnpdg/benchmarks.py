@@ -80,19 +80,22 @@ _EX3_CASES = {
     "example3-2": ((1e-3, 1e-3, 1e-3, 1e-3), "x"),
     "example3-3": ((2e-2, 2e-2, 1e-2, 2e-2), "x"),
 }
-_EX3_4_VARIANTS = {
-    "a": (1.0, 1.0, 0.5, 1.0),
-    "b": (1.0, 1.0, 1.0, 1.0),
-    "c": (1.0, 2.0, 2.0, 2.0),
+# registry id -> its variants, for the entries that take a `variant` keyword
+VARIANTS = {
+    "example3-4": {
+        "a": (1.0, 1.0, 0.5, 1.0),
+        "b": (1.0, 1.0, 1.0, 1.0),
+        "c": (1.0, 2.0, 2.0, 2.0),
+    },
 }
 
 
 def _example3(case, n, variant=None):
     if case == "example3-4":
         variant = variant or "a"
-        if variant not in _EX3_4_VARIANTS:
-            raise ValueError(f"example3-4 variant must be one of {sorted(_EX3_4_VARIANTS)}")
-        params, bctype = _EX3_4_VARIANTS[variant], "all"
+        if variant not in VARIANTS[case]:
+            raise ValueError(f"example3-4 variant must be one of {sorted(VARIANTS[case])}")
+        params, bctype = VARIANTS[case][variant], "all"
         default_T = 0.01
     else:
         params, bctype = _EX3_CASES[case]
@@ -200,8 +203,8 @@ def _neutral(n, dim=1, value=3.0, perturb=0.0, **_):
     nb = 3 if dim == 1 else 6
     exact_coeffs = None if perturb else [value] + [0.0] * (nb - 1)
     species = [
-        SpeciesSpec(1.0, make_init(+1), c_inf=value, name="c1", init_coeffs=exact_coeffs),
-        SpeciesSpec(-1.0, make_init(-1), c_inf=value, name="c2", init_coeffs=exact_coeffs),
+        SpeciesSpec(1.0, make_init(+1), name="c1", init_coeffs=exact_coeffs),
+        SpeciesSpec(-1.0, make_init(-1), name="c2", init_coeffs=exact_coeffs),
     ]
     problem = ProblemSpec(
         mesh, species, bc, FluxParams(4.0, 1/6), FluxParams(4.0, 1/6), name="neutral",

@@ -7,7 +7,7 @@ identical (round-trip identity).
 
 from dataclasses import dataclass
 
-from .benchmarks import BENCHMARKS, build_benchmark
+from .benchmarks import BENCHMARKS, VARIANTS, build_benchmark
 from .driver import SimConfig, check_time_settings
 from .exceptions import ConfigError
 from .field import FluxParams
@@ -130,6 +130,13 @@ def _validate(cfg, dt_line=None, mu_line=None):
         raise ConfigError(
             f"unknown benchmark {cfg.benchmark!r}; known: {', '.join(sorted(BENCHMARKS))}"
         )
+    variants = VARIANTS.get(cfg.benchmark, {})
+    if cfg.variant is not None and cfg.variant not in variants:
+        raise ConfigError(
+            f"variant {cfg.variant!r} for {cfg.benchmark}: "
+            + (f"known: {', '.join(sorted(variants))}" if variants else "it takes no variant"))
+    if cfg.custom_dim not in (1, 2):
+        raise ConfigError(f"[custom] dim must be 1 or 2, got {cfg.custom_dim}")
     if cfg.dt is not None and cfg.mu is not None:
         raise ConfigError("give either dt or mu, not both", dt_line or mu_line)
     check_time_settings(cfg.T, cfg.dt, cfg.mu)
@@ -182,19 +189,9 @@ def resolve(cfg, n=None):
     Config values override the benchmark defaults; missing entries fall
     back to them (beta pairs, T, mesh ratio, sizes).
     """
-    kwargs = {}
-    if cfg.benchmark == "example3-4" and cfg.variant:
-        kwargs["variant"] = cfg.variant
-    if cfg.benchmark == "neutral":
-        kwargs.update(dim=cfg.custom_dim, value=cfg.custom_value,
-                      perturb=cfg.custom_perturb)
-    sizes = cfg.sizes
     if n is None:
-        if sizes is None:
-            _, defaults = build_benchmark(cfg.benchmark, 4, **kwargs)
-            sizes = defaults["sizes"]
-        n = sizes[0]
-    problem, defaults = build_benchmark(cfg.benchmark, n, **kwargs)
+        n = config_sizes(cfg)[0]
+    problem, defaults = build_benchmark(cfg.benchmark, n, **_registry_kwargs(cfg))
     if cfg.np_beta0 is not None or cfg.np_beta1 is not None:
         problem.np_params = FluxParams(
             cfg.np_beta0 if cfg.np_beta0 is not None else problem.np_params.beta0,
@@ -223,10 +220,16 @@ def resolve(cfg, n=None):
 
 
 def config_sizes(cfg):
+    """Mesh sizes of the run: the configured ones, else the benchmark's."""
     if cfg.sizes is not None:
         return cfg.sizes
-    kwargs = {"variant": cfg.variant} if cfg.variant else {}
+    return build_benchmark(cfg.benchmark, 4, **_registry_kwargs(cfg))[1]["sizes"]
+
+
+def _registry_kwargs(cfg):
+    """`build_benchmark` keywords: the variant, and the [custom] keys of the
+    neutral case."""
+    kwargs = {} if cfg.variant is None else {"variant": cfg.variant}
     if cfg.benchmark == "neutral":
-        kwargs.update(dim=cfg.custom_dim)
-    _, defaults = build_benchmark(cfg.benchmark, 4, **kwargs)
-    return defaults["sizes"]
+        kwargs.update(dim=cfg.custom_dim, value=cfg.custom_value, perturb=cfg.custom_perturb)
+    return kwargs

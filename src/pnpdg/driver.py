@@ -57,7 +57,6 @@ class SpeciesSpec:
     c_init: object
     source: object = None
     exact: object = None
-    c_inf: float = None
     name: str = "c"
     init_coeffs: object = None
 

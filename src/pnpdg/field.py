@@ -83,19 +83,18 @@ def cell_average(field, cell=None):
 def weighted_cell_average(field, weight, cell=None):
     """M-weighted mean per cell: int(M w) / int(M), by the shared quadrature.
 
-    `weight` is a WeightField on the same mesh; its cached volume values
-    define the quadrature and int(M) is its cached zeroth moment. A
+    `weight` is a WeightField on the same mesh; its volume values define
+    the quadrature and int(M) comes from its zeroth line moments. A
     constant weight reduces to the plain average. Leading axes of the field
     and the weight broadcast: the result has shape (..., n_cells), or (...)
     for one `cell`.
     """
     mesh = field.mesh
     quad = mesh.quadrature(weight.rule)
-    mv = weight.vol.reshape(weight.vol.shape[:-mesh.dim] + (-1,))
-    num = (mv * quad.values(field.coeffs)) @ (quad.tables.w_flat / 2 ** mesh.dim)
+    num = (weight.vol * quad.values(field.coeffs)) @ (quad.tables.w_flat / 2 ** mesh.dim)
     # the zeroth moments of the x lines, averaged over the cross direction
     across = quad.tables.faces[0].weights / 2 ** (mesh.dim - 1)
-    den = weight.line_moments()[..., :len(across), 0] @ across
+    den = weight.lines[..., :len(across), 0] @ across
     if np.any(den <= 0):
         raise ValueError("nonpositive weight integral in weighted_cell_average")
     out = num / den

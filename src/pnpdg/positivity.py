@@ -1,9 +1,10 @@
 """Positivity machinery for the transformed transport unknown g = c / M.
 
-The exponential weight M = exp(-q psi) is cached at quadrature and trace
-points. Per quadrature line (one per cell in 1D; in 2D the lines along x
-through the y nodes, then those along y through the x nodes) the weighted
-moments of {1, xi, xi^2} determine
+The exponential weight M = exp(-q psi) is kept at the volume quadrature
+nodes and, as the face mean {M}, at the face nodes. Per quadrature line
+(one per cell in 1D; in 2D the lines along x through the y nodes, then
+those along y through the x nodes) the weighted moments of {1, xi, xi^2}
+determine
 
   * an admissible interval (a, b) of interior test nodes,
   * a three-point test set {-1, gamma, 1} (scaled to the cell),
@@ -17,7 +18,7 @@ restores test-set nonnegativity without changing weighted cell averages.
 
 Every kernel here takes optional leading axes. `build_weight` with an
 array of charges q, shape (m,), gives weights for m species at once, and
-every cache, moment, test set, limited field and bound then carries a
+every weight, moment, test set, limited field and bound then carries a
 leading species axis: (m, n_cells, ...). The time loop runs each kernel
 once per stage on all species this way. With a scalar q the shapes are
 those of one species.
@@ -39,102 +40,52 @@ OVERFLOW_LIMIT = 700.0  # |q psi| beyond this overflows double-precision exp
 
 
 class WeightField:
-    """Cached positive weights M = exp(-q psi_h) at volume and trace points.
+    """Positive weights M = exp(-q psi_h) where the scheme needs them.
 
-    1D caches: vol (..., n, nq), tr_l / tr_r (..., n), face (..., n+1)
-    with interior face values {M} and one-sided boundary values.
-    2D caches: vol (..., n, nq, nq) indexed [cell, x-node, y-node],
-    per-side traces (..., n, nq), and face averages xface
-    (..., ny, nx+1, nq), yface (..., ny+1, nx, nq).
+    `vol` holds M at the volume quadrature nodes, (..., n, nq^dim) in the
+    node order of `Tables.vol_flat`. `faces[d]` holds {M} on the faces
+    normal to direction d, (..., *face grid, ns) in grid order: the mean of
+    the two traces on interior faces, the one-sided trace on boundary
+    faces; 1D has `faces[0]`, (..., n+1, 1). `lines` holds the weighted
+    moments <xi_d^k> on every quadrature line of the cells, (..., n,
+    n_lines, 3): one line per cell in 1D; in 2D the first nq lines run
+    along x, one per y node, and the next nq along y, one per x node.
     The leading axes are those of q: none for one species, (m,) for an
     array of m charges.
     """
 
-    def __init__(self, mesh, rule, q, caches):
+    def __init__(self, mesh, rule, vol, faces):
         self.mesh = mesh
         self.rule = rule
-        self.q = q
-        for name, arr in caches.items():
-            setattr(self, name, arr)
-        self._lines = None
-
-    def line_moments(self):
-        """Weighted moments <xi_d^k> on every quadrature line of the cells,
-        (..., n, n_lines, 3). 1D has one line per cell; in 2D the first nq
-        lines run along x, one per y node, and the next nq along y, one per
-        x node."""
-        if self._lines is None:
-            t = tables_for(self.mesh, self.rule)
-            mv = self.vol.reshape(self.vol.shape[:-self.mesh.dim] + (-1,))
-            self._lines = (mv @ t.line_mom).reshape(mv.shape[:-1] + (-1, 3))
-        return self._lines
-
-    @property
-    def moments(self):
-        """1D weighted moments <xi^k>, shape (..., n, 3)."""
-        return self.line_moments()[..., 0, :]
-
-    def moments_along(self, axis):
-        """2D weighted moments on the lines along 'x' or 'y', (..., n, nq, 3)."""
-        nq = self.rule.n
-        return self.line_moments()[..., slice(nq) if axis == "x" else slice(nq, None), :]
-
-    def face_means(self, d):
-        """{M} on the faces normal to direction d, (..., *faces, ns) in grid order."""
-        return self.face[..., None] if self.mesh.dim == 1 else (self.xface, self.yface)[d]
+        self.vol = vol
+        self.faces = faces
+        self.lines = (vol @ tables_for(mesh, rule).line_mom).reshape(vol.shape[:-1] + (-1, 3))
 
 
 def build_weight(psi, q, rule=DEFAULT_RULE):
-    """Cache M = exp(-q psi) wherever the scheme needs it.
+    """M = exp(-q psi) at the volume nodes and its face means.
 
-    `q` is one charge, or an array of charges whose shape leads every cache.
+    `q` is one charge, or an array of charges whose shape leads every array.
     Aborts with OverflowGuardError if |q psi| exceeds the double-precision
-    exponent guard at any cached point.
+    exponent guard at any volume or trace node.
     """
     mesh = psi.mesh
     t = tables_for(mesh, rule)
-    lead = np.shape(q)
-    if mesh.dim == 1:
-        expo = {
-            "vol": psi.coeffs @ t.vol.T,
-            "tr_l": psi.coeffs @ t.at_l,
-            "tr_r": psi.coeffs @ t.at_r,
-        }
-        _guard(q, expo.values())
-        caches = {k: _exp_weight(q, v) for k, v in expo.items()}
-        tr_l, tr_r = caches["tr_l"], caches["tr_r"]
-        face = np.empty(lead + (mesh.n_cells + 1,))
-        face[..., 1:-1] = 0.5 * (tr_r[..., :-1] + tr_l[..., 1:])
-        face[..., 0] = tr_l[..., 0]
-        face[..., -1] = tr_r[..., -1]
-        caches["face"] = face
-        return WeightField(mesh, rule, q, caches)
-    nx, ny, nq = mesh.nx, mesh.ny, rule.n
-    expo = {
-        "vol": (psi.coeffs @ t.vol_flat.T).reshape(mesh.n_cells, nq, nq),
-        "tr_xl": psi.coeffs @ t.x_l.T,
-        "tr_xr": psi.coeffs @ t.x_r.T,
-        "tr_yb": psi.coeffs @ t.y_b.T,
-        "tr_yt": psi.coeffs @ t.y_t.T,
-    }
-    _guard(q, expo.values())
-    caches = {k: _exp_weight(q, v) for k, v in expo.items()}
-    grid = lead + (ny, nx, nq)
-    xl = caches["tr_xl"].reshape(grid)
-    xr = caches["tr_xr"].reshape(grid)
-    yb = caches["tr_yb"].reshape(grid)
-    yt = caches["tr_yt"].reshape(grid)
-    xface = np.empty(lead + (ny, nx + 1, nq))
-    xface[..., 1:-1, :] = 0.5 * (xr[..., :-1, :] + xl[..., 1:, :])
-    xface[..., 0, :] = xl[..., 0, :]
-    xface[..., -1, :] = xr[..., -1, :]
-    yface = np.empty(lead + (ny + 1, nx, nq))
-    yface[..., 1:-1, :, :] = 0.5 * (yt[..., :-1, :, :] + yb[..., 1:, :, :])
-    yface[..., 0, :, :] = yb[..., 0, :, :]
-    yface[..., -1, :, :] = yt[..., -1, :, :]
-    caches["xface"] = xface
-    caches["yface"] = yface
-    return WeightField(mesh, rule, q, caches)
+    vol = psi.coeffs @ t.vol_flat.T
+    # psi on the high (xi_d = +1) and the low (xi_d = -1) side of every cell
+    traces = [(psi.coeffs @ ft.v_m.T, psi.coeffs @ ft.v_p.T) for ft in t.faces]
+    _guard(q, [vol] + [e for pair in traces for e in pair])
+    faces = []
+    for ft, pair in zip(t.faces, traces):
+        hi, lo = (_exp_weight(q, e).reshape(np.shape(q) + mesh.grid + (-1,)) for e in pair)
+        shape = list(hi.shape)
+        shape[ft.axis] += 1
+        f = np.empty(shape)
+        f[ft.inner] = 0.5 * (hi[ft.minus] + lo[ft.plus])
+        f[ft.at(0)] = lo[ft.at(0)]
+        f[ft.at(-1)] = hi[ft.at(-1)]
+        faces.append(f)
+    return WeightField(mesh, rule, _exp_weight(q, vol), tuple(faces))
 
 
 def _exp_weight(q, v):
@@ -184,7 +135,7 @@ class TestSet:
     """Interval ends `lo`, `hi` and interior node `gammas` of every
     quadrature line, (..., n, n_lines), and the line's decomposition weights
     `line_weights`, (..., n, n_lines, 3); the lines are those of
-    `WeightField.line_moments` and the leading axes those of the weight."""
+    `WeightField.lines` and the leading axes those of the weight."""
 
     rule: object
     lo: np.ndarray
@@ -192,22 +143,10 @@ class TestSet:
     gammas: np.ndarray
     line_weights: np.ndarray
 
-    # per-direction views: one line per cell in 1D; in 2D the first nq lines
-    # of a cell run along x and the rest along y
-    a = property(lambda self: self.lo[..., 0])
-    b = property(lambda self: self.hi[..., 0])
-    gamma = property(lambda self: self.gammas[..., 0])
-    weights = property(lambda self: self.line_weights[..., 0, :])
-    ax = property(lambda self: self.lo[..., :self.rule.n])
-    bx = property(lambda self: self.hi[..., :self.rule.n])
-    gamma_x = property(lambda self: self.gammas[..., :self.rule.n])
-    weights_x = property(lambda self: self.line_weights[..., :self.rule.n, :])
-    weights_y = property(lambda self: self.line_weights[..., self.rule.n:, :])
-
 
 def build_test_set(weight, params, cap=True):
     """Admissible test set and decomposition weights on every quadrature line."""
-    m = weight.line_moments()
+    m = weight.lines
     m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
     a, b = _intervals(m0, m1, m2)
     g = _select_gammas(a, b, params.beta1, cap)
@@ -361,11 +300,10 @@ def cfl_mu0(weight, testset, params):
     # through a (..., *grid, dim, lines per direction) view
     lo, hi = np.empty(testset.gammas.shape), np.empty(testset.gammas.shape)
     grid = lo.shape[:-2] + mesh.grid + (mesh.dim, -1)
-    for d, ft in enumerate(tables_for(mesh, weight.rule).faces):
-        mf = weight.face_means(d)
+    for d, (ft, mf) in enumerate(zip(tables_for(mesh, weight.rule).faces, weight.faces)):
         lo.reshape(grid)[..., d, :] = mf[ft.minus]
         hi.reshape(grid)[..., d, :] = mf[ft.plus]
-    m, w = weight.line_moments(), testset.line_weights
+    m, w = weight.lines, testset.line_weights
     terms = _mu0_terms(w[..., 0], w[..., 2], m[..., 0], m[..., 2], testset.gammas, lo, hi,
                        params).reshape(lo.shape[:-1] + (mesh.dim, -1))
     per_dir = [float(terms[..., d, :].min()) for d in range(mesh.dim)]

@@ -15,16 +15,14 @@ MAX_POINTS = 10
 class QuadRule:
     """n-point Gauss-Legendre rule, exact for polynomials of degree 2n-1.
 
-    ``weights`` sum to 2 (the reference measure); ``avg_weights`` are the
-    normalized weights summing to 1, used for averaged integrals.
+    ``weights`` sum to 2 (the reference measure).
     """
 
     def __init__(self, n, nodes, weights):
         self.n = n
         self.nodes = nodes
         self.weights = weights
-        self.avg_weights = 0.5 * weights
-        for a in (self.nodes, self.weights, self.avg_weights):
+        for a in (self.nodes, self.weights):
             a.flags.writeable = False
 
     def __repr__(self):

@@ -33,7 +33,7 @@ def np_rhs(g, weight, params, source=None, t=0.0):
     faces = quad.tables.faces
     c = g.coeffs
     lead = c.shape[:-2]
-    mw = weight.vol.reshape(lead + (mesh.n_cells, -1)) * quad.tables.w_flat
+    mw = weight.vol * quad.tables.w_flat
     rhs = np.zeros(c.shape)
     for ft, k in zip(faces, quad.stiffness):
         rhs -= k * ((mw * (c @ ft.dvol.T)) @ ft.dvol)
@@ -41,7 +41,7 @@ def np_rhs(g, weight, params, source=None, t=0.0):
     c = c.reshape(on_grid.shape)
     for d, (ft, h, fw) in enumerate(zip(faces, mesh.spacing, quad.face_weights)):
         gm, gp, flux = ft.flux(c, h, params)
-        mf = weight.face_means(d)[ft.inner].reshape(flux.shape)
+        mf = weight.faces[d][ft.inner].reshape(flux.shape)
         mflux = (mf * flux) * fw
         mhalf = (mf * (0.5 * (gp - gm))) * fw   # g_inner - {g} = -/+ half on the minus/plus side
         s = 2.0 / h
@@ -79,8 +79,7 @@ def decomposition_cell_averages(g, weight, testset, params, dt):
     c = g.coeffs.reshape(mesh.grid + (-1,))
     out = 0.0
     weights = testset.line_weights.reshape(n, mesh.dim, -1, 3)
-    for d, (ft, h) in enumerate(zip(quad.tables.faces, mesh.spacing)):
-        mf = weight.face_means(d)
+    for d, (ft, h, mf) in enumerate(zip(quad.tables.faces, mesh.spacing, weight.faces)):
         mflux = np.zeros(mf.shape)   # zero flux on the boundary faces
         mflux[ft.inner] = mf[ft.inner] * ft.flux(c, h, params)[2].reshape(mf[ft.inner].shape)
         line = np.einsum("nsi,nsi->ns", weights[:, d], vals[:, d]) \

@@ -140,25 +140,18 @@ def ddg_flux(trace, params):
         + params.beta1 * trace.h_e * trace.d2n_jump
 
 
-def weight_from_values(mesh, rule, vol, **faces):
-    """Assemble a WeightField from explicit positive cache arrays."""
+def weight_from_values(mesh, rule, vol):
+    """Assemble a WeightField, without face means, from explicit positive
+    volume values (n_cells, nq^dim)."""
     if np.any(vol <= 0):
         raise ValueError("weight volume values must be positive")
-    caches = {"vol": vol}
-    caches.update(faces)
-    return WeightField(mesh, rule, 0.0, caches)
+    return WeightField(mesh, rule, vol, ())
 
 
-def _cell_moments(weight, cell, line):
-    if weight.mesh.dim == 1:
-        return weight.moments[cell]
-    axis, sigma = line
-    return weight.moments_along(axis)[cell, sigma]
-
-
-def test_interval(weight, cell, line=None):
-    """Admissible interior-node interval (a, b) for one cell (one line in 2D)."""
-    m0, m1, m2 = _cell_moments(weight, cell, line)
+def test_interval(weight, cell, line=0):
+    """Admissible interior-node interval (a, b) on one quadrature line of a
+    cell (the index into `WeightField.lines`; the only line in 1D)."""
+    m0, m1, m2 = weight.lines[cell, line]
     a = (m1 - m2) / (m0 - m1)
     b = (m1 + m2) / (m0 + m1)
     if not (-1.0 < a < b < 1.0):
@@ -183,10 +176,11 @@ def choose_gamma(a, b, beta1, cap=True):
     return g
 
 
-def decomposition_weights(weight, cell, gamma, line=None):
-    """Positive decomposition weights of one cell for interior node gamma:
-    the weighted integrals of the Lagrange basis on {-1, gamma, 1}."""
-    m0, m1, m2 = _cell_moments(weight, cell, line)
+def decomposition_weights(weight, cell, gamma, line=0):
+    """Positive decomposition weights on one quadrature line of a cell for
+    interior node gamma: the weighted integrals of the Lagrange basis on
+    {-1, gamma, 1}."""
+    m0, m1, m2 = weight.lines[cell, line]
     g = gamma
     w = ((g * m0 - (1.0 + g) * m1 + m2) / (2.0 * (1.0 + g)),
          (m0 - m2) / (1.0 - g * g),

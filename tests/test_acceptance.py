@@ -259,16 +259,16 @@ def test_criterion_07_positive_decomposition(rng=None):
         psi = Field(mesh1, 0.6 * rng.normal(size=(16, 3)), role="potential")
         w = build_weight(psi, 1.0, RULE)
         ts = build_test_set(w, FluxParams(1.0, 1 / 6))
-        if not (np.all(-1 < ts.a) and np.all(ts.a < ts.b) and np.all(ts.b < 1)
-                and np.all(ts.weights > 0)):
+        if not (np.all(-1 < ts.lo) and np.all(ts.lo < ts.hi) and np.all(ts.hi < 1)
+                and np.all(ts.line_weights > 0)):
             bad += 1
             continue
         p = rng.normal(size=3)
-        pts = np.stack([-np.ones(16), ts.gamma, np.ones(16)], -1)
+        pts = np.stack([-np.ones_like(ts.gammas), ts.gammas, np.ones_like(ts.gammas)], -1)
         vals = p[0] + p[1] * pts + p[2] * pts**2
-        lhs = np.einsum("ni,ni->n", ts.weights, vals)
-        m = w.moments
-        rhs = p[0] * m[:, 0] + p[1] * m[:, 1] + p[2] * m[:, 2]
+        lhs = np.einsum("nsi,nsi->ns", ts.line_weights, vals)
+        m = w.lines
+        rhs = p[0] * m[..., 0] + p[1] * m[..., 1] + p[2] * m[..., 2]
         if np.max(np.abs(lhs - rhs)) > 1e-12:
             bad += 1
     mesh2 = build_mesh_2d(1, 1, 4, 4)
@@ -276,16 +276,15 @@ def test_criterion_07_positive_decomposition(rng=None):
         psi = Field(mesh2, 0.4 * rng.normal(size=(16, 6)), role="potential")
         w = build_weight(psi, -1.0, RULE)
         ts = build_test_set(w, FluxParams(1.0, 1 / 6))
-        if not (np.all(ts.ax < ts.gamma_x) and np.all(ts.gamma_x < ts.bx)
-                and np.all(ts.weights_x > 0) and np.all(ts.weights_y > 0)):
+        if not (np.all(ts.lo < ts.gammas) and np.all(ts.gammas < ts.hi)
+                and np.all(ts.line_weights > 0)):
             bad += 1
             continue
         p = rng.normal(size=3)
-        pts = np.stack([-np.ones_like(ts.gamma_x), ts.gamma_x,
-                        np.ones_like(ts.gamma_x)], -1)
+        pts = np.stack([-np.ones_like(ts.gammas), ts.gammas, np.ones_like(ts.gammas)], -1)
         vals = p[0] + p[1] * pts + p[2] * pts**2
-        lhs = np.einsum("nsi,nsi->ns", ts.weights_x, vals)
-        m = w.moments_along("x")
+        lhs = np.einsum("nsi,nsi->ns", ts.line_weights, vals)
+        m = w.lines
         rhs = p[0] * m[..., 0] + p[1] * m[..., 1] + p[2] * m[..., 2]
         if np.max(np.abs(lhs - rhs)) > 1e-12:
             bad += 1

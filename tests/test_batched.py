@@ -69,12 +69,13 @@ def test_batched_kernels_match_single_species_bitwise(dim, rng):
     assert repb.theta.shape == (2, mesh.n_cells)
 
     n_limited, mu0 = 0, np.inf
-    caches = ("vol", "tr_l", "tr_r", "face") if dim == 1 else \
-        ("vol", "tr_xl", "tr_xr", "tr_yb", "tr_yt", "xface", "yface")
     for i, q in enumerate(CHARGES):
         w = build_weight(psi, float(q), RULE)
-        for name in caches:
-            assert np.array_equal(getattr(wb, name)[i], getattr(w, name)), name
+        assert np.array_equal(wb.vol[i], w.vol)
+        assert np.array_equal(wb.lines[i], w.lines)
+        assert len(wb.faces) == len(w.faces) == dim
+        for fb, f in zip(wb.faces, w.faces):
+            assert np.array_equal(fb[i], f)
         g = weighted_projection(Field(mesh, c[i]), w)
         assert np.array_equal(gb.coeffs[i], g.coeffs)
         ts = build_test_set(w, P)

@@ -98,6 +98,13 @@ def test_dt_and_mu_conflict():
         parse_config("[benchmark]\nid = example1\n[time]\ndt = 1e-4\nmu = 0.01\n")
 
 
+@pytest.mark.parametrize("dim", [0, 3, -1])
+def test_bad_custom_dim_rejected(dim):
+    with pytest.raises(ConfigError, match="dim"):
+        parse_config(f"[benchmark]\nid = neutral\n[custom]\ndim = {dim}\n")
+    assert parse_config("[benchmark]\nid = neutral\n[custom]\ndim = 2\n").custom_dim == 2
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -137,6 +144,16 @@ def test_cli_exit_code_config_error(tmp_path):
     bad = _write(tmp_path, "bad.cfg", "[benchmark]\nid = nosuch\n")
     assert main(["run", "--config", bad]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("bench,variant", [("example3-4", "z"), ("example1", "b")])
+def test_cli_bad_variant_is_config_error(tmp_path, capsys, bench, variant):
+    # an unknown variant, and a variant for a benchmark that takes none
+    cfg = _write(tmp_path, "v.cfg", f"[benchmark]\nid = {bench}\nvariant = {variant}\n"
+                 f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "variant" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_numerical_fatal(tmp_path):

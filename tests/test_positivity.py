@@ -5,7 +5,8 @@ from pnpdg.basis import basis_for
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
 from pnpdg.field import Field, FluxParams, project_l2, weighted_cell_average, zero_field
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from oracles import choose_gamma, decomposition_weights, eval_field, weight_from_values
+from oracles import (choose_gamma, decomposition_weights, eval_field, face_trace,
+                     weight_from_values)
 from oracles import test_interval as admissible_interval
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
@@ -29,7 +30,7 @@ def test_weight_of_zero_potential_is_one():
     m = build_mesh_1d(0, 1, 4)
     w = unit_weight(m)
     assert np.max(np.abs(w.vol - 1.0)) == 0.0
-    assert np.max(np.abs(w.face - 1.0)) == 0.0
+    assert np.max(np.abs(w.faces[0] - 1.0)) == 0.0
 
 
 def test_weight_constant_potential():
@@ -43,7 +44,34 @@ def test_weight_trace_value():
     m = build_mesh_1d(0, 1, 2)
     psi = project_l2(lambda x: x, m)
     w = build_weight(psi, -1.0, RULE)
-    assert abs(w.tr_r[-1] - np.e) < 1e-13
+    assert abs(w.faces[0][-1, 0] - np.e) < 1e-13   # the right boundary face
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_face_weights_match_pointwise_traces(dim, rng):
+    # {M} at every node of every face against exp(-q psi) of the oracle
+    # traces: the mean of the two sides inside, one-sided on the boundary;
+    # two species, dx != dy in 2D
+    mesh = build_mesh_1d(0, 1, 5) if dim == 1 else build_mesh_2d(1.0, 0.6, 4, 3)
+    q = np.array([1.0, -2.0])
+    psi = random_psi(mesh, rng, scale=0.3)
+    w = build_weight(psi, q, RULE)
+    # face grid index -> oracle face key, per direction
+    if dim == 1:
+        keys = [{(i,): i for i in range(mesh.n_cells + 1)}]
+    else:
+        keys = [{(row, i): ("x", i, row) for row in range(mesh.ny) for i in range(mesh.nx + 1)},
+                {(i, col): ("y", i, col) for i in range(mesh.ny + 1) for col in range(mesh.nx)}]
+    assert len(w.faces) == dim
+    for f, faces in zip(w.faces, keys):
+        assert f.shape[0] == 2 and f.shape[-1] == RULE.n ** (dim - 1)
+        assert len(faces) == np.prod(f.shape[1:-1])
+        for idx, face in faces.items():
+            tr = face_trace(psi, face, RULE)
+            sides = [v for v in (tr.w_minus, tr.w_plus) if v is not None]
+            for s, qs in enumerate(q):
+                ref = sum(np.exp(-qs * np.asarray(v)) for v in sides) / len(sides)
+                assert np.all(np.abs(f[(s,) + idx] - ref) <= 1e-14 * ref)
 
 
 def test_overflow_guard():
@@ -107,8 +135,8 @@ def test_weighted_projection_rejects_nonpositive_weight(dim):
     # a negative node value of M makes the weighted Gram indefinite, so the
     # elimination meets a nonpositive pivot
     mesh = build_mesh_1d(0, 1, 3) if dim == 1 else build_mesh_2d(1.0, 1.0, 2, 2)
-    w = weight_from_values(mesh, RULE, np.ones((mesh.n_cells,) + (RULE.n,) * dim))
-    w.vol[(1,) + (0,) * dim] = -1.0e3   # one node of cell 1
+    w = weight_from_values(mesh, RULE, np.ones((mesh.n_cells, RULE.n ** dim)))
+    w.vol[1, 0] = -1.0e3   # one node of cell 1
     c = Field(mesh, np.ones((mesh.n_cells, basis_for(mesh).nb)))
     with pytest.raises(NumericalFatalError, match="pivot"):
         weighted_projection(c, w)
@@ -172,10 +200,10 @@ def test_decomposition_identity_randomized(rng):
     for _ in range(50):
         p = rng.normal(size=3)
         for cell in (0, 1):
-            pts = np.array([-1.0, ts.gamma[cell], 1.0])
+            pts = np.array([-1.0, ts.gammas[cell, 0], 1.0])
             vals = p[0] + p[1] * pts + p[2] * pts**2
-            lhs = float(ts.weights[cell] @ vals)
-            mom = w.moments[cell]
+            lhs = float(ts.line_weights[cell, 0] @ vals)
+            mom = w.lines[cell, 0]
             rhs = p[0] * mom[0] + p[1] * mom[1] + p[2] * mom[2]
             assert abs(lhs - rhs) < 1e-12
 
@@ -185,21 +213,21 @@ def test_test_set_randomized_properties(rng):
     for _ in range(25):
         w = build_weight(random_psi(m, rng), 1.0, RULE)
         ts = build_test_set(w, FluxParams(1.0, 1 / 6))
-        assert np.all(-1 < ts.a) and np.all(ts.a < ts.b) and np.all(ts.b < 1)
-        assert np.all(ts.weights > 0)
-        assert np.all((ts.a < ts.gamma) & (ts.gamma < ts.b))
+        assert np.all(-1 < ts.lo) and np.all(ts.lo < ts.hi) and np.all(ts.hi < 1)
+        assert np.all(ts.line_weights > 0)
+        assert np.all((ts.lo < ts.gammas) & (ts.gammas < ts.hi))
 
 
 def test_test_set_2d_lines(rng):
     m = build_mesh_2d(1, 1, 3, 2)
     w = build_weight(random_psi(m, rng, scale=0.2), -1.0, RULE)
     ts = build_test_set(w, FluxParams(1.0, 1 / 6))
-    assert ts.gamma_x.shape == (6, RULE.n)
-    assert np.all(ts.weights_x > 0) and np.all(ts.weights_y > 0)
-    a, b = admissible_interval(w, 3, line=("x", 2))
-    assert abs(a - ts.ax[3, 2]) < 1e-15 and abs(b - ts.bx[3, 2]) < 1e-15
-    w1, w2_, w3 = decomposition_weights(w, 3, ts.gamma_x[3, 2], line=("x", 2))
-    assert abs(w1 - ts.weights_x[3, 2, 0]) < 1e-15
+    assert ts.gammas.shape == (6, 2 * RULE.n)   # x lines, then y lines
+    assert np.all(ts.line_weights > 0)
+    a, b = admissible_interval(w, 3, line=2)
+    assert abs(a - ts.lo[3, 2]) < 1e-15 and abs(b - ts.hi[3, 2]) < 1e-15
+    w1, w2_, w3 = decomposition_weights(w, 3, ts.gammas[3, 2], line=2)
+    assert abs(w1 - ts.line_weights[3, 2, 0]) < 1e-15
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -39,11 +39,6 @@ def test_nodes_symmetric_weights_positive(n):
     assert np.all(np.diff(r.nodes) > 0)
 
 
-def test_averaged_weights_sum_to_one():
-    for n in (1, 4, 7):
-        assert abs(gauss_rule(n).avg_weights.sum() - 1.0) < 1e-15
-
-
 @pytest.mark.parametrize("n", [0, -3, 11])
 def test_unsupported_order_rejected(n):
     with pytest.raises(ValueError):
