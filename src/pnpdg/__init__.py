@@ -4,11 +4,11 @@ from .basis import SeparableSource
 from .benchmarks import BENCHMARKS, build_benchmark
 from .config import RunConfig, parse_config, resolve, serialize_config
 from .driver import (DiagnosticsRecord, ProblemSpec, RunResult, SimConfig, SpeciesSpec,
-                     fit_steady_amplitudes, free_energy, init, minima, pnp_step, run,
+                     fit_steady_amplitudes, free_energy, init, pnp_step, run,
                      steady_state_init, total_mass)
 from .exceptions import (ConfigError, InadmissibleCellError, NumericalFatalError,
                          OverflowGuardError, PnpdgError)
-from .field import (Field, FluxParams, cell_average, eval_at_points, l1_error, project_l2,
+from .field import (Field, FluxParams, eval_at_points, l1_error, project_l2,
                     weighted_cell_average, zero_field)
 from .mesh import Mesh1D, Mesh2D, build_mesh_1d, build_mesh_2d
 from .poisson import (BoundaryCondition, LoadSpec, PoissonBC, PoissonOperator,

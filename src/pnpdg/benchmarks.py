@@ -8,12 +8,14 @@ time-separable (`SeparableSource`), and the test suite validates them
 against the continuous operator.
 """
 
+import math
+
 import numpy as np
 
-from .basis import SeparableSource
+from .basis import SeparableSource, basis_for
 from .driver import ProblemSpec, SpeciesSpec
 from .field import FluxParams
-from .mesh import build_mesh_1d, build_mesh_2d
+from .mesh import SIDES, build_mesh_1d, build_mesh_2d
 from .poisson import PoissonBC, dirichlet, neumann
 
 
@@ -179,35 +181,32 @@ def _example4(n, **_):
 
 
 def _neutral(n, dim=1, value=3.0, perturb=0.0, **_):
-    """Electroneutral constant state: an exact discrete fixed point."""
-    if dim == 1:
-        mesh = build_mesh_1d(0.0, 1.0, n)
-        def make_init(sign):
-            return lambda x: value * (1 + sign * perturb * np.sin(2 * np.pi * x))
-        bc = PoissonBC({
-            "left": dirichlet(lambda t: 0.0),
-            "right": neumann(lambda t: 0.0),
-        })
-    else:
-        mesh = build_mesh_2d(1.0, 1.0, n, n)
-        def make_init(sign):
-            return lambda x, y: value * (1 + sign * perturb
-                                         * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
-        bc = PoissonBC({
-            "left": dirichlet(lambda t, s: 0.0),
-            "right": neumann(lambda t, s: 0.0),
-            "bottom": neumann(lambda t, s: 0.0),
-            "top": neumann(lambda t, s: 0.0),
-        })
+    """Electroneutral constant state: an exact discrete fixed point.
+
+    On the unit interval (dim 1) or square (dim 2), each species optionally
+    perturbed by +-perturb * prod_d sin(2 pi x_d); Dirichlet on the left
+    side, Neumann elsewhere."""
+    meshes = {1: lambda: build_mesh_1d(0.0, 1.0, n), 2: lambda: build_mesh_2d(1.0, 1.0, n, n)}
+    if dim not in meshes:
+        raise ValueError(f"neutral: dim must be 1 or 2, got {dim!r}")
+    mesh = meshes[dim]()
+
+    def make_init(sign):
+        # the product runs left to right: sign * perturb * sin(2 pi x) * sin(2 pi y)
+        return lambda *x: value * (1 + math.prod((np.sin(2 * np.pi * xd) for xd in x),
+                                                 start=sign * perturb))
+    sides = {name: neumann() for pair in SIDES[:dim] for name in pair}
+    sides["left"] = dirichlet()
     # the unperturbed constant has an exact modal representation
-    nb = 3 if dim == 1 else 6
+    nb = basis_for(mesh).nb
     exact_coeffs = None if perturb else [value] + [0.0] * (nb - 1)
     species = [
         SpeciesSpec(1.0, make_init(+1), name="c1", init_coeffs=exact_coeffs),
         SpeciesSpec(-1.0, make_init(-1), name="c2", init_coeffs=exact_coeffs),
     ]
     problem = ProblemSpec(
-        mesh, species, bc, FluxParams(4.0, 1/6), FluxParams(4.0, 1/6), name="neutral",
+        mesh, species, PoissonBC(sides), FluxParams(4.0, 1/6), FluxParams(4.0, 1/6),
+        name="neutral",
     )
     return problem, dict(T=0.01, mu=0.01, sizes=[8, 16])
 

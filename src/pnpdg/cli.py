@@ -15,7 +15,7 @@ from . import csvio
 from .config import config_sizes, parse_config, resolve
 from .driver import pnp_step, run
 from .exceptions import ConfigError, NumericalFatalError, PnpdgError
-from .field import l1_error
+from .field import Field, l1_error
 
 log = logging.getLogger("pnpdg")
 
@@ -50,10 +50,10 @@ def cmd_run(args):
     names = [sp.name for sp in problem.species]
     out = cfg.out_dir
     csvio.write_diagnostics(os.path.join(out, "diagnostics.csv"), result.diagnostics, names)
-    for sp, c in zip(problem.species, result.state.c):
-        csvio.write_snapshot(os.path.join(out, f"snapshot_{sp.name}.csv"), c)
+    for sp, coeffs in zip(problem.species, result.state.c.coeffs):
+        csvio.write_snapshot(os.path.join(out, f"snapshot_{sp.name}.csv"), coeffs)
     psi = result.state.prepared_stage().psi
-    csvio.write_snapshot(os.path.join(out, "snapshot_psi.csv"), psi)
+    csvio.write_snapshot(os.path.join(out, "snapshot_psi.csv"), psi.coeffs)
     for name, err in result.errors.items():
         print(f"l1 error {name}: {err:.6e}")
     last = result.diagnostics[-1]
@@ -96,8 +96,8 @@ def cmd_convergence(args):
         else:
             ref_c, ref_psi, _ = ref
             # the fixed default rule, as in driver.run, not the scheme's quad_n
-            for sp, c, rc in zip(problem.species, state.c, ref_c):
-                errors[sp.name].append(l1_error(c, rc))
+            for sp, c, rc in zip(problem.species, state.c.coeffs, ref_c.coeffs):
+                errors[sp.name].append(l1_error(Field(problem.mesh, c), Field(ref_c.mesh, rc)))
             errors["psi"].append(l1_error(state.prepared_stage().psi, ref_psi))
     mesh0 = problem0.mesh
     if mesh0.dim == 1:
@@ -131,10 +131,9 @@ def cmd_steady_check(args, n_steps=100):
     dt = sim.resolve_dt(problem.mesh)
     rows = []
     for step in range(n_steps):
-        before = [c.coeffs.copy() for c in state.c]
+        before = state.c.coeffs.copy()
         pnp_step(state, dt)
-        change = max(float(np.abs(a.coeffs - b).max())
-                     for a, b in zip(state.c, before))
+        change = float(np.abs(state.c.coeffs - before).max())
         rows.append((step + 1, state.t, change))
     path = os.path.join(cfg.out_dir, "steady.csv")
     csvio.write_steady_report(path, rows)

@@ -70,12 +70,11 @@ def write_errors(path, col0_name, col0_values, errors_by_field, inverse=False):
     _write(path, lines)
 
 
-def write_snapshot(path, field):
-    """Per-cell modal coefficients of one field."""
-    nb = field.coeffs.shape[1]
-    lines = ["cell," + ",".join(f"coef_{m}" for m in range(nb))]
-    for n in range(field.coeffs.shape[0]):
-        lines.append(str(n) + "," + ",".join(_fmt(float(v)) for v in field.coeffs[n]))
+def write_snapshot(path, coeffs):
+    """Per-cell modal coefficients of one field, `coeffs` of shape (n_cells, nb)."""
+    lines = ["cell," + ",".join(f"coef_{m}" for m in range(coeffs.shape[1]))]
+    for n, row in enumerate(coeffs):
+        lines.append(str(n) + "," + ",".join(_fmt(float(v)) for v in row))
     _write(path, lines)
 
 

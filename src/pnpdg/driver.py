@@ -3,11 +3,11 @@ limiter, explicit transport update, diagnostics.
 
 Each explicit stage runs the full pipeline on the current densities; the
 two-stage method is the convex (Heun) combination of such stages, so the
-positivity guarantee of a single stage carries over. A stage stacks the
-densities of all species into one (m_species, n_cells, nb) field and runs
-each positivity and transport kernel once on it; the increment is split
-back into one Field per species. Runs are deterministic: identical
-configuration produces bitwise-identical trajectories.
+positivity guarantee of a single stage carries over. The state holds the
+densities of all species as one (m_species, n_cells, nb) field, and each
+stage runs every positivity and transport kernel once on it. Runs are
+deterministic: identical configuration produces bitwise-identical
+trajectories.
 """
 
 import logging
@@ -146,13 +146,16 @@ class _StagePrep:
 
 
 class State:
+    """Time, densities `c` (one (m_species, n_cells, nb) Field) and the
+    factorized Poisson operator of a run."""
+
     def __init__(self, problem, config):
         self.problem = problem
         self.config = config
         self.rule = gauss_rule(config.quad_n)
         self.t = 0.0
         self.operator = None
-        self.c = []
+        self._c = None
         self._prep = None
         self._cfl_warned = False
 
@@ -160,9 +163,19 @@ class State:
     def mesh(self):
         return self.problem.mesh
 
+    @property
+    def c(self):
+        return self._c
+
+    @c.setter
+    def c(self, field):
+        # new densities invalidate the stage prepared from the old ones
+        self._c = field
+        self._prep = None
+
     def prepared_stage(self):
-        """The prepared stage at the current time: the cached one if its time
-        matches, else a new one, which is cached."""
+        """The prepared stage of the current densities and time, cached until
+        either changes."""
         if self._prep is None or self._prep.t != self.t:
             self._prep = _prepare_stage(self, self.c, self.t)
         return self._prep
@@ -185,29 +198,29 @@ def init(problem, config):
     state = State(problem, config)
     mesh = problem.mesh
     points = mesh.quadrature(state.rule).points
+    coeffs = []
     for sp in problem.species:
         if sp.init_coeffs is not None:
-            f = Field(mesh, np.tile(np.asarray(sp.init_coeffs, float), (mesh.n_cells, 1)),
-                      role="density")
+            coeffs.append(np.tile(np.asarray(sp.init_coeffs, float), (mesh.n_cells, 1)))
         else:
-            f = project_l2(sp.c_init, mesh, state.rule, role="density")
+            coeffs.append(project_l2(sp.c_init, mesh, state.rule).coeffs)
         vals = sp.c_init(*points)
         if np.min(vals) < 0:
             log.warning("initial data for species %s is negative at quadrature nodes "
                         "(min %.3g)", sp.name, float(np.min(vals)))
-        state.c.append(f)
+    state.c = Field(mesh, np.stack(coeffs))
     state.operator = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc,
                                        state.rule)
     return state
 
 
-def _prepare_stage(state, cs, t, need_cfl=True):
-    """Poisson solve, weights, projections, test sets and limiting at time t."""
+def _prepare_stage(state, c, t, need_cfl=True):
+    """Poisson solve, weights, projections, test sets and limiting at time t
+    for the stacked densities c."""
     pb = state.problem
-    load = assemble_load(state.operator, cs, pb.load_spec(), t)
+    load = assemble_load(state.operator, c.coeffs, pb.load_spec(), t)
     psi = state.operator.solve(load)
     cap = pb.np_params.in_positivity_range()
-    c = Field(pb.mesh, np.stack([ci.coeffs for ci in cs]), role="density")
     w = build_weight(psi, np.array(pb.charges, dtype=float), state.rule)
     g = weighted_projection(c, w)
     ts = build_test_set(w, pb.np_params, cap=cap)
@@ -227,13 +240,12 @@ def _prepare_stage(state, cs, t, need_cfl=True):
     return _StagePrep(t, psi, w, g, ts, mu0, cap, n_limited, min_pre, min_post)
 
 
-def _advance(state, cs, prep, dt):
+def _advance(state, c, prep, dt):
     pb = state.problem
     mesh = pb.mesh
     rhs = np_rhs(prep.g, prep.weight, pb.np_params,
                  source=[sp.source for sp in pb.species], t=prep.t)
-    inc = apply_mass_inverse(mesh, basis_for(mesh), rhs)
-    return [Field(mesh, c.coeffs + dt * d, role=c.role) for c, d in zip(cs, inc)]
+    return Field(mesh, c.coeffs + dt * apply_mass_inverse(mesh, basis_for(mesh), rhs))
 
 
 def _check_cfl(state, prep, dt):
@@ -272,8 +284,9 @@ def pnp_step(state, dt):
     """Advance the coupled system by one step (Euler or two-stage Heun).
 
     Returns the stage-1 prep used, for diagnostics. The prepared stage of
-    the current state is cached on the State and reused when the time
-    matches (the record at t_n shares the stage-1 solve of step n).
+    the current state is cached on the State and reused while neither the
+    time nor the densities change (the record at t_n shares the stage-1
+    solve of step n).
     """
     prep = state.prepared_stage()
     dt = _check_cfl(state, prep, dt)
@@ -281,24 +294,21 @@ def pnp_step(state, dt):
     if state.config.rk == 2:
         prep2 = _prepare_stage(state, s1, state.t + dt, need_cfl=False)
         s2 = _advance(state, s1, prep2, dt)
-        state.c = [Field(state.mesh, 0.5 * (a.coeffs + b.coeffs), role=a.role)
-                   for a, b in zip(state.c, s2)]
+        state.c = Field(state.mesh, 0.5 * (state.c.coeffs + s2.coeffs))
     else:
         state.c = s1
     state.t += dt
-    state._prep = None
     return prep
 
 
 def _record(state, prep):
-    pb = state.problem
-    masses = [total_mass(state, i) for i in range(len(pb.species))]
+    masses = total_mass(state)
     energy = free_energy(state, psi=prep.psi)
     return DiagnosticsRecord(
         t=state.t,
         masses=masses,
         energy=energy,
-        min_avgs=[float(c.cell_averages.min()) for c in state.c],
+        min_avgs=state.c.cell_averages.min(axis=-1).tolist(),
         min_g_pre=list(prep.min_g_pre),
         min_g_post=list(prep.min_g_post),
         n_limited=prep.n_limited,
@@ -329,22 +339,19 @@ def run(problem, config, diagnostics=True):
         if diagnostics and (step % config.cadence == 0 or is_last):
             records.append(_record(state, state.prepared_stage()))
     errors = {}
-    for sp, c in zip(problem.species, state.c):
+    for sp, coeffs in zip(problem.species, state.c.coeffs):
         if sp.exact is not None:
-            errors[sp.name] = l1_error(c, sp.exact, DEFAULT_RULE, t=state.t)
+            errors[sp.name] = l1_error(Field(problem.mesh, coeffs), sp.exact, DEFAULT_RULE,
+                                       t=state.t)
     if problem.psi_exact is not None:
         errors["psi"] = l1_error(state.prepared_stage().psi, problem.psi_exact, DEFAULT_RULE,
                                  t=state.t)
     return RunResult(state, records, errors)
 
 
-def total_mass(state, species):
-    return float(state.c[species].cell_averages.sum() * state.mesh.cell_volume)
-
-
-def minima(state):
-    """Per-species minimum cell average."""
-    return [float(c.cell_averages.min()) for c in state.c]
+def total_mass(state):
+    """Total mass of every species, in species order."""
+    return (state.c.cell_averages.sum(axis=-1) * state.mesh.cell_volume).tolist()
 
 
 def free_energy(state, psi=None):
@@ -356,34 +363,32 @@ def free_energy(state, psi=None):
     quad = state.mesh.quadrature(state.rule)
     if psi is None:
         psi = state.prepared_stage().psi
-    cvals = [quad.values(c.coeffs) for c in state.c]
+    cvals = quad.values(state.c.coeffs)
     rho = state.problem.rho0(*quad.points) if state.problem.rho0 else 0.0
-    entropy = 0.0
-    n_clipped = 0
-    for v in cvals:
-        clipped = np.maximum(v, ENTROPY_CLIP)
-        n_clipped += int((v < ENTROPY_CLIP).sum())
-        entropy += quad.integrate(v * np.log(clipped))
+    n_clipped = int((cvals < ENTROPY_CLIP).sum())
     if n_clipped:
         log.debug("free_energy: clipped %d density values below %g inside log",
                   n_clipped, ENTROPY_CLIP)
+    # per species, then summed in species order
+    entropy = sum(quad.integrate(e) for e in cvals * np.log(np.maximum(cvals, ENTROPY_CLIP)))
     charge = sum(q * v for q, v in zip(state.problem.charges, cvals)) + rho
     return entropy + 0.5 * quad.integrate(charge * quad.values(psi.coeffs))
 
 
 def steady_state_init(problem, amplitudes, phi, rule=None):
-    """Densities c_inf * exp(-q phi_h), projected cell by cell."""
+    """Stacked densities c_inf * exp(-q phi_h), projected cell by cell."""
     quad = problem.mesh.quadrature(rule or gauss_rule(4))
     phivals = quad.values(phi.coeffs)
-    return [Field(problem.mesh, quad.project(amp * np.exp(-sp.charge * phivals)), role="density")
-            for sp, amp in zip(problem.species, amplitudes)]
+    amps = np.asarray(amplitudes, dtype=float)[:, None, None]
+    q = np.asarray(problem.charges, dtype=float)[:, None, None]
+    return Field(problem.mesh, quad.project(amps * np.exp(-q * phivals)))
 
 
 def fit_steady_amplitudes(state, psi=None):
     """Amplitudes c_inf matching each species' current total mass for exp(-q psi)."""
     quad = state.mesh.quadrature(state.rule)
     if psi is None:
-        psi = _prepare_stage(state, state.c, state.t).psi
+        psi = state.prepared_stage().psi
     psivals = quad.values(psi.coeffs)
-    return [total_mass(state, i) / quad.integrate(np.exp(-sp.charge * psivals))
-            for i, sp in enumerate(state.problem.species)]
+    return [m / quad.integrate(np.exp(-q * psivals))
+            for m, q in zip(total_mass(state), state.problem.charges)]

@@ -31,7 +31,7 @@ class FluxParams:
 
 
 class Field:
-    def __init__(self, mesh, coeffs, role="scalar"):
+    def __init__(self, mesh, coeffs):
         self.mesh = mesh
         self.basis = basis_for(mesh)
         coeffs = np.asarray(coeffs, dtype=float)
@@ -41,10 +41,6 @@ class Field:
                 f"{self.basis.nb})"
             )
         self.coeffs = coeffs
-        self.role = role
-
-    def copy(self):
-        return Field(self.mesh, self.coeffs.copy(), self.role)
 
     @property
     def cell_averages(self):
@@ -52,32 +48,26 @@ class Field:
         return self.coeffs[..., 0]
 
     def __repr__(self):
-        return f"Field(role={self.role!r}, cells={self.mesh.n_cells}, dim={self.mesh.dim})"
+        return f"Field(shape={self.coeffs.shape}, dim={self.mesh.dim})"
 
 
-def zero_field(mesh, role="scalar"):
-    return Field(mesh, np.zeros((mesh.n_cells, basis_for(mesh).nb)), role)
+def zero_field(mesh):
+    return Field(mesh, np.zeros((mesh.n_cells, basis_for(mesh).nb)))
 
 
-def project_l2(f, mesh, rule=DEFAULT_RULE, role="scalar"):
+def project_l2(f, mesh, rule=DEFAULT_RULE):
     """Per-cell L2 projection of a callable f onto the P2 space.
 
     f takes vectorized physical coordinates: f(x) in 1D, f(x, y) in 2D.
     """
     quad = mesh.quadrature(rule)
-    return Field(mesh, quad.project(np.asarray(f(*quad.points), dtype=float)), role)
+    return Field(mesh, quad.project(np.asarray(f(*quad.points), dtype=float)))
 
 
 def eval_at_points(field, *x):
     """Evaluate at arbitrary physical points (used for reference-field errors)."""
     cells, xi = field.mesh.locate(*x)
     return np.einsum("...m,...m->...", field.coeffs[cells], field.basis.vals(*xi))
-
-
-def cell_average(field, cell=None):
-    if cell is None:
-        return field.coeffs[:, 0].copy()
-    return float(field.coeffs[cell, 0])
 
 
 def weighted_cell_average(field, weight, cell=None):

@@ -61,11 +61,11 @@ class BoundaryCondition:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
 
 
-def dirichlet(data=lambda t: 0.0):
+def dirichlet(data=lambda t, *s: 0.0):
     return BoundaryCondition("dirichlet", data)
 
 
-def neumann(data=lambda t: 0.0):
+def neumann(data=lambda t, *s: 0.0):
     return BoundaryCondition("neumann", data)
 
 
@@ -126,7 +126,7 @@ class PoissonOperator:
             sol = self._lu.solve(load)
         if not np.all(np.isfinite(sol)):
             raise NumericalFatalError("Poisson solve produced non-finite values")
-        return Field(self.mesh, sol.reshape(self.mesh.n_cells, self.nb), role="potential")
+        return Field(self.mesh, sol.reshape(self.mesh.n_cells, self.nb))
 
 
 def _sides(quad, d):
@@ -200,12 +200,13 @@ def _dirichlet_block(tv, td, sign, h_e, face_w, bb):
 
 
 def assemble_load(op, densities, load, t=0.0):
-    """Right-hand-side vector for given densities and boundary data at time t."""
+    """Right-hand-side vector at time t for the stacked density coefficients
+    `densities`, (m_species, n_cells, nb), and the boundary data."""
     mesh = op.mesh
     quad = mesh.quadrature(op.rule)
     bb = op.boundary_penalty
     gram = basis_for(mesh).gram
-    charge = sum((q * c.coeffs for q, c in zip(load.charges, densities)),
+    charge = sum((q * c for q, c in zip(load.charges, densities)),
                  np.zeros((mesh.n_cells, len(gram))))
     b = (quad.jac * gram) * charge
     if load.rho0 is not None:

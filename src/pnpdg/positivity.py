@@ -194,7 +194,7 @@ def weighted_projection(c, weight):
     x[0] += avg
     if not np.all(np.isfinite(x)):
         raise NumericalFatalError("weighted mass solve failed (non-positive weight?)")
-    return Field(c.mesh, x.T.reshape(c.coeffs.shape), role="auxiliary")
+    return Field(c.mesh, x.T.reshape(c.coeffs.shape))
 
 
 def test_set_values(g, testset):
@@ -246,7 +246,7 @@ def scaling_limiter(g, weight, testset):
     theta[neg] = wbar[neg] / (wbar[neg] - mn[neg])
     out = g.coeffs * theta[..., None]
     out[..., 0] += (1.0 - theta) * wbar
-    limited = Field(g.mesh, out, role=g.role)
+    limited = Field(g.mesh, out)
     # the test-set values are affine in theta: each cell's new minimum is
     # theta*mn + (1-theta)*wbar, and exactly mn where theta = 1
     post = theta * mn + (1.0 - theta) * wbar

@@ -49,7 +49,7 @@ def run_case(name):
     result = run(problem, SimConfig(**sim))
     recs = result.diagnostics
     out = {
-        "c": np.stack([c.coeffs for c in result.state.c]),
+        "c": result.state.c.coeffs,
         "psi": result.state.prepared_stage().psi.coeffs,
         "t": np.array([r.t for r in recs]),
         "energy": np.array([r.energy for r in recs]),

@@ -240,10 +240,9 @@ def test_criterion_06_steady_state_preservation():
         problem, _ = build_benchmark("neutral", 8)
         state = init(problem, SimConfig(T=1.0, mu=mu_factor, rk=1))
         dt = mu_factor * state.mesh.h**2
-        before = [c.coeffs.copy() for c in state.c]
+        before = state.c.coeffs.copy()
         pnp_step(state, dt)
-        change = max(float(np.abs(c.coeffs - b).max())
-                     for c, b in zip(state.c, before))
+        change = float(np.abs(state.c.coeffs - before).max())
         detail.append(f"{mu_factor}h^2: {change:.2e}")
         if change >= 1e-13:
             bad.append(f"dt={mu_factor}h^2: per-step change {change:.3e} >= 1e-13")
@@ -256,7 +255,7 @@ def test_criterion_07_positive_decomposition(rng=None):
     bad = 0
     mesh1 = build_mesh_1d(0, 1, 16)
     for _ in range(250):
-        psi = Field(mesh1, 0.6 * rng.normal(size=(16, 3)), role="potential")
+        psi = Field(mesh1, 0.6 * rng.normal(size=(16, 3)))
         w = build_weight(psi, 1.0, RULE)
         ts = build_test_set(w, FluxParams(1.0, 1 / 6))
         if not (np.all(-1 < ts.lo) and np.all(ts.lo < ts.hi) and np.all(ts.hi < 1)
@@ -273,7 +272,7 @@ def test_criterion_07_positive_decomposition(rng=None):
             bad += 1
     mesh2 = build_mesh_2d(1, 1, 4, 4)
     for _ in range(250):
-        psi = Field(mesh2, 0.4 * rng.normal(size=(16, 6)), role="potential")
+        psi = Field(mesh2, 0.4 * rng.normal(size=(16, 6)))
         w = build_weight(psi, -1.0, RULE)
         ts = build_test_set(w, FluxParams(1.0, 1 / 6))
         if not (np.all(ts.lo < ts.gammas) and np.all(ts.gammas < ts.hi)
@@ -308,7 +307,7 @@ def _positivity_stress(rng, n_trials, dim):
     failures = 0
     done = 0
     while done < n_trials:
-        psi = Field(mesh, scale * rng.normal(size=(mesh.n_cells, nb)), role="potential")
+        psi = Field(mesh, scale * rng.normal(size=(mesh.n_cells, nb)))
         w = build_weight(psi, q, RULE)
         try:
             ts = build_test_set(w, params)
@@ -316,7 +315,7 @@ def _positivity_stress(rng, n_trials, dim):
             continue
         coeffs = rng.normal(size=(mesh.n_cells, nb))
         coeffs[:, 0] = rng.uniform(0.2, 1.5, size=mesh.n_cells)
-        c = Field(mesh, coeffs, role="density")
+        c = Field(mesh, coeffs)
         g = weighted_projection(c, w)
         g, _rep = scaling_limiter(g, w, ts)
         mu0 = cfl_mu0(w, ts, params).mu0
@@ -334,7 +333,7 @@ def _positivity_stress(rng, n_trials, dim):
 
 def test_criterion_08_cfl_worked_value_and_stress():
     from pnpdg.field import zero_field
-    w = build_weight(zero_field(build_mesh_1d(0, 1, 4), role="potential"), 1.0, RULE)
+    w = build_weight(zero_field(build_mesh_1d(0, 1, 4)), 1.0, RULE)
     params = FluxParams(1.0, 1 / 6)
     ts = build_test_set(w, params)
     mu0 = cfl_mu0(w, ts, params).mu0
@@ -352,7 +351,7 @@ def test_criterion_09_limiter_suite(ex1_tables):
     mesh = build_mesh_1d(0, 1, 8)
     bad = []
     for _ in range(100):
-        psi = Field(mesh, 0.5 * rng.normal(size=(8, 3)), role="potential")
+        psi = Field(mesh, 0.5 * rng.normal(size=(8, 3)))
         w = build_weight(psi, 1.0, RULE)
         coeffs = rng.normal(size=(8, 3))
         coeffs[:, 0] = rng.uniform(0.3, 2.0, size=8)
@@ -406,8 +405,8 @@ def test_criterion_10_cell_average_equivalence():
         for _ in range(50):
             coeffs = rng.normal(size=(mesh.n_cells, nb))
             coeffs[:, 0] += 3.0
-            c = Field(mesh, coeffs, role="density")
-            psi = Field(mesh, 0.4 * rng.normal(size=(mesh.n_cells, nb)), role="potential")
+            c = Field(mesh, coeffs)
+            psi = Field(mesh, 0.4 * rng.normal(size=(mesh.n_cells, nb)))
             w = build_weight(psi, 1.0, RULE)
             g = weighted_projection(c, w)
             ts = build_test_set(w, params)

@@ -41,7 +41,7 @@ def _stage(dim, rng):
     """Potential and two species' densities with some cells needing the limiter."""
     mesh = _mesh(dim)
     nb = basis_for(mesh).nb
-    psi = Field(mesh, 0.3 * rng.normal(size=(mesh.n_cells, nb)), role="potential")
+    psi = Field(mesh, 0.3 * rng.normal(size=(mesh.n_cells, nb)))
     c = rng.normal(size=(2, mesh.n_cells, nb))
     c[..., 0] = np.abs(c[..., 0]) + 0.8
     return mesh, psi, c

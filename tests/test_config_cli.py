@@ -4,6 +4,7 @@ import pytest
 from pnpdg.cli import main
 from pnpdg.config import config_sizes, parse_config, resolve, serialize_config
 from pnpdg.csvio import observed_orders
+from pnpdg.driver import run
 from pnpdg.exceptions import ConfigError
 
 MINIMAL = """
@@ -201,6 +202,31 @@ dir = {}
     assert abs(float(rows[1][2]) - expect) < 1e-9
     # 13 significant digits in the error entries
     assert "e-" in rows[0][1] and len(rows[0][1].split("e")[0].replace(".", "").lstrip("-")) >= 12
+
+
+def test_cli_snapshots_match_the_final_state(tmp_path):
+    # each species' snapshot is its slice of the stacked densities
+    out = tmp_path / "snap"
+    cfg = _write(tmp_path, "e2.cfg", """
+[benchmark]
+id = example2
+[mesh]
+sizes = 6
+[time]
+t_final = 0.002
+mu = 0.01
+[output]
+dir = {}
+""".format(out))
+    assert main(["run", "--config", cfg]) == 0
+    problem, sim = resolve(parse_config((tmp_path / "e2.cfg").read_text()))
+    state = run(problem, sim).state
+    expected = {"c1": state.c.coeffs[0], "c2": state.c.coeffs[1],
+                "psi": state.prepared_stage().psi.coeffs}
+    for name, coeffs in expected.items():
+        snap = np.loadtxt(out / f"snapshot_{name}.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(snap[:, 0], np.arange(6))
+        np.testing.assert_allclose(snap[:, 1:], coeffs, rtol=1e-12, atol=0)
 
 
 def test_cli_flags_override(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 
 from pnpdg.basis import SeparableSource
 from pnpdg.benchmarks import build_benchmark
-from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, _prepare_stage,
-                          fit_steady_amplitudes, free_energy, init, minima, pnp_step, run,
-                          steady_state_init, total_mass)
+from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, fit_steady_amplitudes,
+                          free_energy, init, pnp_step, run, steady_state_init, total_mass)
 from pnpdg.exceptions import ConfigError, NumericalFatalError
 from pnpdg.field import Field, l1_error, project_l2, zero_field
 from pnpdg.quadrature import gauss_rule
@@ -14,22 +13,21 @@ from pnpdg.quadrature import gauss_rule
 def test_example2_initial_masses():
     problem, _ = build_benchmark("example2", 10)
     state = init(problem, SimConfig(T=0.1))
-    assert abs(total_mass(state, 0) - 3.0) < 1e-12
-    assert abs(total_mass(state, 1) - 3.0) < 1e-12
+    assert np.abs(np.array(total_mass(state)) - 3.0).max() < 1e-12
 
 
 def test_constant_initial_data_projection_exact():
     problem, _ = build_benchmark("neutral", 8)
     state = init(problem, SimConfig(T=0.1))
-    for c in state.c:
-        assert np.max(np.abs(c.coeffs[:, 0] - 3.0)) < 1e-13
-        assert np.max(np.abs(c.coeffs[:, 1:])) < 1e-13
+    assert state.c.coeffs.shape == (2, 8, 3)
+    assert np.max(np.abs(state.c.coeffs[..., 0] - 3.0)) < 1e-13
+    assert np.max(np.abs(state.c.coeffs[..., 1:])) < 1e-13
 
 
 def test_example4_initial_minima_positive():
     problem, _ = build_benchmark("example4", 20)
     state = init(problem, SimConfig(T=0.1, dt=1e-5))
-    assert all(v > 0 for v in minima(state))
+    assert np.all(state.c.cell_averages.min(axis=-1) > 0)
 
 
 @pytest.mark.parametrize("mu_factor,tol,dim", [
@@ -44,10 +42,9 @@ def test_neutral_state_is_fixed_point(mu_factor, tol, dim):
     state = init(problem, SimConfig(T=1.0, mu=mu_factor, rk=1))
     h = state.mesh.h if dim == 1 else state.mesh.dx
     dt = mu_factor * h**2
-    before = [c.coeffs.copy() for c in state.c]
+    before = state.c.coeffs.copy()
     pnp_step(state, dt)
-    for c, b in zip(state.c, before):
-        assert np.max(np.abs(c.coeffs - b)) < tol
+    assert np.max(np.abs(state.c.coeffs - before)) < tol
 
 
 def test_neutral_state_fixed_point_sustained():
@@ -55,28 +52,33 @@ def test_neutral_state_fixed_point_sustained():
     problem, _ = build_benchmark("neutral", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01))
     dt = 0.01 * state.mesh.h**2
-    before = [c.coeffs.copy() for c in state.c]
+    before = state.c.coeffs.copy()
     for _ in range(100):
         pnp_step(state, dt)
-    for c, b in zip(state.c, before):
-        assert np.max(np.abs(c.coeffs - b)) < 1e-13
+    assert np.max(np.abs(state.c.coeffs - before)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_neutral_rejects_unsupported_dim(dim):
+    with pytest.raises(ValueError, match="dim"):
+        build_benchmark("neutral", 8, dim=dim)
 
 
 def test_steady_state_init_zero_potential():
     problem, _ = build_benchmark("neutral", 8)
-    phi = zero_field(problem.mesh, role="potential")
+    phi = zero_field(problem.mesh)
     densities = steady_state_init(problem, [3.0, 3.0], phi)
-    for c in densities:
-        assert np.max(np.abs(c.coeffs[:, 0] - 3.0)) < 1e-13
+    assert densities.coeffs.shape == (2, 8, 3)
+    assert np.max(np.abs(densities.coeffs[..., 0] - 3.0)) < 1e-13
 
 
 def test_steady_state_init_uncharged_species(rng):
     problem, _ = build_benchmark("neutral", 8)
     problem.species[0] = SpeciesSpec(0.0, lambda x: 1.0 + 0 * x, name="n0")
-    phi = Field(problem.mesh, rng.normal(size=(8, 3)), role="potential")
+    phi = Field(problem.mesh, rng.normal(size=(8, 3)))
     densities = steady_state_init(problem, [5.0, 5.0], phi)
-    assert np.max(np.abs(densities[0].coeffs[:, 0] - 5.0)) < 1e-12
-    assert np.max(np.abs(densities[0].coeffs[:, 1:])) < 1e-12
+    assert np.max(np.abs(densities.coeffs[0, :, 0] - 5.0)) < 1e-12
+    assert np.max(np.abs(densities.coeffs[0, :, 1:])) < 1e-12
 
 
 def test_free_energy_values():
@@ -86,8 +88,8 @@ def test_free_energy_values():
     assert abs(free_energy(state) - 6 * np.log(3.0)) < 1e-12
     problem.species = [problem.species[0]]
     state = init(problem, SimConfig(T=0.1))
-    state.c[0] = project_l2(lambda x: 1.0 + 0 * x, problem.mesh, role="density")
-    psi0 = zero_field(problem.mesh, role="potential")
+    state.c = Field(problem.mesh, project_l2(lambda x: 1.0 + 0 * x, problem.mesh).coeffs[None])
+    psi0 = zero_field(problem.mesh)
     assert abs(free_energy(state, psi=psi0)) < 1e-12
 
 
@@ -105,7 +107,7 @@ def test_run_determinism():
     r2 = run(problem2, SimConfig(T=0.005, mu=0.01))
     assert [d.masses for d in r1.diagnostics] == [d.masses for d in r2.diagnostics]
     assert [d.energy for d in r1.diagnostics] == [d.energy for d in r2.diagnostics]
-    assert np.array_equal(r1.state.c[0].coeffs, r2.state.c[0].coeffs)
+    assert np.array_equal(r1.state.c.coeffs, r2.state.c.coeffs)
     times = [d.t for d in r1.diagnostics]
     assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -178,15 +180,31 @@ def test_steady_state_reinit_is_stationary():
     problem, _ = build_benchmark("example2", 8)
     res = run(problem, SimConfig(T=1.0, mu=0.01, cadence=1000))
     state = res.state
-    prep = _prepare_stage(state, state.c, state.t)
-    amps = fit_steady_amplitudes(state, psi=prep.psi)
-    state.c = steady_state_init(problem, amps, prep.psi, rule=state.rule)
+    psi = state.prepared_stage().psi
+    amps = fit_steady_amplitudes(state)
+    state.c = steady_state_init(problem, amps, psi, rule=state.rule)
     dt = 0.01 * state.mesh.h**2
-    before = [c.coeffs.copy() for c in state.c]
-    state._prep = None
+    before = state.c.coeffs.copy()
     pnp_step(state, dt)
-    change = max(np.abs(c.coeffs - b).max() for c, b in zip(state.c, before))
-    assert change < 1e-8
+    assert np.abs(state.c.coeffs - before).max() < 1e-8
+
+
+@pytest.mark.parametrize("rk", [1, 2])
+def test_replacing_densities_drops_the_prepared_stage(rk):
+    # a stage prepared before the densities were replaced at the same time
+    # must not be used to advance the new densities
+    steps = []
+    for warm in (True, False):
+        problem, _ = build_benchmark("example2", 10)
+        state = init(problem, SimConfig(T=1.0, mu=0.01, rk=rk))
+        if warm:
+            state.prepared_stage()
+        const = np.zeros_like(state.c.coeffs)
+        const[..., 0] = 2.0
+        state.c = Field(state.mesh, const)
+        pnp_step(state, 1e-4)
+        steps.append(state.c.coeffs)
+    assert np.array_equal(steps[0], steps[1])
 
 
 def test_quadrature_order_insensitivity():
@@ -200,8 +218,8 @@ def test_quadrature_order_insensitivity():
         res = run(problem, SimConfig(T=0.01, mu=0.01, quad_n=nq, cadence=100))
         T = res.state.t
         errs[nq] = {
-            sp.name: l1_error(c, sp.exact, gauss_rule(4), t=T)
-            for sp, c in zip(problem.species, res.state.c)
+            sp.name: l1_error(Field(problem.mesh, c), sp.exact, gauss_rule(4), t=T)
+            for sp, c in zip(problem.species, res.state.c.coeffs)
         }
     for name in ("c1", "c2"):
         rel = abs(errs[4][name] - errs[6][name]) / errs[6][name]
@@ -285,11 +303,10 @@ def test_registry_sources_are_separable(name, kwargs):
 def test_zero_step_is_identity():
     problem, _ = build_benchmark("example2", 6)
     state = init(problem, SimConfig(T=0.1))
-    before = [c.coeffs.copy() for c in state.c]
+    before = state.c.coeffs.copy()
     pnp_step(state, 0.0)
     assert state.t == 0.0
-    for c, b in zip(state.c, before):
-        assert np.array_equal(c.coeffs, b)
+    assert np.array_equal(state.c.coeffs, before)
 
 
 def test_errors_use_the_fixed_four_point_rule():
@@ -299,7 +316,7 @@ def test_errors_use_the_fixed_four_point_rule():
     problem, _ = build_benchmark("example1", 10)
     result = run(problem, SimConfig(T=T, mu=0.01, quad_n=3))
     assert result.state.t == T
-    c = result.state.c[0]
+    c = Field(problem.mesh, result.state.c.coeffs[0])
     assert result.errors["c1"] == l1_error(c, problem.species[0].exact, gauss_rule(4), t=T)
     assert result.errors["c1"] != l1_error(c, problem.species[0].exact, gauss_rule(3), t=T)
 
@@ -312,5 +329,4 @@ def test_run_without_diagnostics():
     bare = run(problem, config, diagnostics=False)
     assert bare.diagnostics == []
     assert bare.errors == full.errors
-    for a, b in zip(full.state.c, bare.state.c):
-        assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(full.state.c.coeffs, bare.state.c.coeffs)

@@ -4,8 +4,7 @@ import pytest
 from oracles import (FaceTrace, ddg_flux, eval_field, eval_grad, eval_second, face_trace,
                      weight_from_values)
 from pnpdg.basis import BASIS_1D, BASIS_2D, tables_for
-from pnpdg.field import (Field, FluxParams, cell_average, l1_error, project_l2,
-                         weighted_cell_average)
+from pnpdg.field import Field, FluxParams, l1_error, project_l2, weighted_cell_average
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 from pnpdg.quadrature import gauss_rule
 
@@ -176,7 +175,7 @@ def test_cell_averages():
     f = Field(m, np.array([[2.0, 0, 0]] * 3))
     vol = np.ones((3, RULE.n))
     w = weight_from_values(m, RULE, vol)
-    np.testing.assert_allclose(cell_average(f), 2.0)
+    np.testing.assert_allclose(f.cell_averages, 2.0)
     np.testing.assert_allclose(weighted_cell_average(f, w), 2.0, atol=1e-14)
     odd = Field(m, np.array([[0.0, 1.0, 0]] * 3))
     assert np.max(np.abs(weighted_cell_average(odd, w))) < 1e-15

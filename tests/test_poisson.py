@@ -90,7 +90,7 @@ def test_load_uniform_density():
     m = build_mesh_1d(0, 1, 4)
     op = assemble_operator(m, P16, bc_dir_both())
     c = Field(m, np.tile([1.0, 0, 0], (4, 1)))
-    b = assemble_load(op, [c], LoadSpec([1.0]), t=0.0).reshape(4, 3)
+    b = assemble_load(op, c.coeffs[None], LoadSpec([1.0]), t=0.0).reshape(4, 3)
     np.testing.assert_allclose(b[:, 0], m.h, atol=1e-15)
     assert np.max(np.abs(b[:, 1:])) < 1e-15
 
@@ -99,7 +99,7 @@ def test_neutral_densities_give_zero_potential():
     m = build_mesh_1d(0, 1, 5)
     op = assemble_operator(m, P16, bc_dir_both())
     c = Field(m, np.tile([2.0, 0, 0], (5, 1)))
-    b = assemble_load(op, [c, c], LoadSpec([1.0, -1.0]), t=0.0)
+    b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), LoadSpec([1.0, -1.0]), t=0.0)
     psi = op.solve(b)
     assert np.max(np.abs(psi.coeffs)) < 1e-11
 
@@ -125,7 +125,7 @@ def test_example1_poisson_convergence():
         op = assemble_operator(m, P16, bc_dir_neu(lambda tt: -np.exp(-tt) / 60.0))
         c1 = project_l2(lambda x: x**2 * (1 - x)**2, m)
         c2 = project_l2(lambda x: x**2 * (1 - x)**3, m)
-        b = assemble_load(op, [c1, c2], LoadSpec([1.0, -1.0]), t=t)
+        b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), LoadSpec([1.0, -1.0]), t=t)
         psi = op.solve(b)
         errs.append(l1_error(psi, lambda x: -(10 * x**7 - 28 * x**6 + 21 * x**5) / 420.0))
     ratio = errs[0] / errs[1]
@@ -153,8 +153,8 @@ def test_stability_constant_under_perturbation(rng):
     ratios = []
     for delta in (1e-2, 5e-3):
         c1 = Field(m, c0.coeffs + delta * direction)
-        b0 = assemble_load(op, [c0], LoadSpec([1.0]), t=0.0)
-        b1 = assemble_load(op, [c1], LoadSpec([1.0]), t=0.0)
+        b0 = assemble_load(op, c0.coeffs[None], LoadSpec([1.0]), t=0.0)
+        b1 = assemble_load(op, c1.coeffs[None], LoadSpec([1.0]), t=0.0)
         dpsi = op.solve(b1).coeffs - op.solve(b0).coeffs
         ratios.append(np.linalg.norm(dpsi) / (delta * np.linalg.norm(direction)))
     assert abs(ratios[0] - ratios[1]) < 1e-8 * ratios[0]
@@ -177,7 +177,7 @@ def test_pure_neumann_requires_gauge():
     bc = PoissonBC({"left": neumann(), "right": neumann()}, zero_mean_gauge=True)
     op = assemble_operator(m, P16, bc)
     c = Field(m, np.tile([1.0, 0, 0], (4, 1)))
-    b = assemble_load(op, [c, c], LoadSpec([1.0, -1.0]), t=0.0)
+    b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), LoadSpec([1.0, -1.0]), t=0.0)
     psi = op.solve(b)
     assert np.max(np.abs(psi.coeffs)) < 1e-12
 
@@ -189,7 +189,8 @@ def test_gauged_solution_has_zero_mean():
     # neutral-in-total but nonuniform load
     c1 = project_l2(lambda x: 1 + np.pi * np.sin(np.pi * x), m)
     c2 = project_l2(lambda x: 4 - 2 * x, m)
-    b = assemble_load(op, [c1, c2], LoadSpec([1.0, -1.0]), t=0.0)
+    b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), LoadSpec([1.0, -1.0]),
+                      t=0.0)
     psi = op.solve(b)
     assert abs(psi.coeffs[:, 0].sum() * m.h) < 1e-12
     resid = op.matrix @ psi.coeffs.ravel() - b
@@ -210,7 +211,7 @@ def test_example2_gauge_solve_residual(n):
     problem, _ = build_benchmark("example2", n)
     mesh = problem.mesh
     op = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc)
-    cs = [project_l2(sp.c_init, mesh) for sp in problem.species]
+    cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
     b = assemble_load(op, cs, problem.load_spec(), t=0.0)
     b[::3] -= b[::3].mean()   # exactly neutral, so the gauge multiplier is zero
     psi = op.solve(b).coeffs
@@ -227,8 +228,8 @@ def test_density_load_is_diagonal_mass(name):
     bc = PoissonBC({s: BoundaryCondition(b.kind, lambda t, *x: 0.0)
                     for s, b in problem.poisson_bc.sides.items()})
     op = assemble_operator(mesh, problem.poisson_params, bc)
-    cs = [project_l2(sp.c_init, mesh) for sp in problem.species]
+    cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
     b = assemble_load(op, cs, LoadSpec(problem.charges), t=0.0)
     quad = mesh.quadrature(op.rule)
-    ref = quad.load(quad.values(sum(q * c.coeffs for q, c in zip(problem.charges, cs))))
+    ref = quad.load(quad.values(sum(q * c for q, c in zip(problem.charges, cs))))
     assert np.abs(b - ref.ravel()).max() <= 1e-15 * np.abs(ref).max()

@@ -18,12 +18,12 @@ PP = FluxParams(1.0, 1 / 6)
 
 
 def unit_weight(mesh):
-    return build_weight(zero_field(mesh, role="potential"), 1.0, RULE)
+    return build_weight(zero_field(mesh), 1.0, RULE)
 
 
 def random_psi(mesh, rng, scale=0.5):
     nb = 3 if mesh.dim == 1 else 6
-    return Field(mesh, scale * rng.normal(size=(mesh.n_cells, nb)), role="potential")
+    return Field(mesh, scale * rng.normal(size=(mesh.n_cells, nb)))
 
 
 def test_weight_of_zero_potential_is_one():
@@ -109,7 +109,7 @@ def contrast_psi(mesh, rng, bound=5.0):
     """Random P2 potential with |psi| <= bound: every Legendre product is at
     most 1 in size, so each cell's coefficient sum bounds psi there."""
     p = rng.normal(size=(mesh.n_cells, basis_for(mesh).nb))
-    return Field(mesh, p * (bound / np.abs(p).sum(axis=1, keepdims=True)), role="potential")
+    return Field(mesh, p * (bound / np.abs(p).sum(axis=1, keepdims=True)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -13,12 +13,12 @@ P = FluxParams(4.0, 1 / 6)
 
 
 def unit_weight(mesh):
-    return build_weight(zero_field(mesh, role="potential"), 1.0, RULE)
+    return build_weight(zero_field(mesh), 1.0, RULE)
 
 
 def random_weight(mesh, rng, scale=0.3):
     nb = 3 if mesh.dim == 1 else 6
-    psi = Field(mesh, scale * rng.normal(size=(mesh.n_cells, nb)), role="potential")
+    psi = Field(mesh, scale * rng.normal(size=(mesh.n_cells, nb)))
     return build_weight(psi, 1.0, RULE)
 
 
