@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .quadrature import gauss_rule
+
 K = 2  # fixed polynomial degree
 
 
@@ -87,16 +89,21 @@ def basis_for(mesh):
     return (BASIS_1D, BASIS_2D)[mesh.dim - 1]
 
 
-def _node_grid(rule, k):
+# the scheme's Gauss rule: every weighted integral uses it, so the weighted
+# average equals the test-set decomposition and the limiter keeps it exactly
+RULE = gauss_rule(4)
+
+
+def _node_grid(k):
     """Tensor grid of the rule's nodes in k directions: k arrays of shape (nq,)*k."""
-    return np.meshgrid(*[rule.nodes] * k, indexing="ij")
+    return np.meshgrid(*[RULE.nodes] * k, indexing="ij")
 
 
-def _tensor_weights(rule, k):
+def _tensor_weights(k):
     """Tensor-product weights of the rule in k directions, flattened like the grid."""
     w = np.ones(1)
     for _ in range(k):
-        w = np.multiply.outer(w, rule.weights).ravel()
+        w = np.multiply.outer(w, RULE.weights).ravel()
     return w
 
 
@@ -115,14 +122,14 @@ class FaceTables:
     over all faces.
     """
 
-    def __init__(self, basis, rule, d):
+    def __init__(self, basis, d):
         self.dim = dim = basis.dim
         self.axis = -(d + 2)
         # the faces' minus-side cells, plus-side cells, and the interior faces
         self.minus, self.plus, self.inner = (self.at(s) for s in (
             slice(None, -1), slice(1, None), slice(1, -1)))
-        tangent = [a.ravel() for a in _node_grid(rule, dim - 1)]
-        self.weights = _tensor_weights(rule, dim - 1)
+        tangent = [a.ravel() for a in _node_grid(dim - 1)]
+        self.weights = _tensor_weights(dim - 1)
 
         def table(k, xi):   # k-th derivative along d
             return basis.table(tuple(k if i == d else 0 for i in range(dim)), *xi)
@@ -131,7 +138,7 @@ class FaceTables:
             xi = tangent[:d] + [np.full(len(self.weights), side)] + tangent[d:]
             for k, name in enumerate(names):
                 setattr(self, name, table(k, xi))
-        self.dvol = table(1, _node_grid(rule, dim)).reshape(-1, basis.nb)
+        self.dvol = table(1, _node_grid(dim)).reshape(-1, basis.nb)
         # on the line of direction d through face node s, basis function m is
         # a Legendre series in xi_d with coefficients line_coeffs[m, 3s:3s+3]; one
         # line per cell and the identity in 1D
@@ -166,26 +173,25 @@ class Tables:
     the projection and moment tables, the moment and coefficient tables of
     every quadrature line, and one FaceTables per direction."""
 
-    def __init__(self, basis, rule):
-        self.rule = rule
-        q = rule.nodes
+    def __init__(self, basis):
+        q = RULE.nodes
         dim = basis.dim
-        self.vol = basis.vals(*_node_grid(rule, dim))   # (nq,)*dim + (nb,)
+        self.vol = basis.vals(*_node_grid(dim))   # (nq,)*dim + (nb,)
         self.vol_flat = self.vol.reshape(-1, basis.nb)
-        self.w_flat = _tensor_weights(rule, dim)
+        self.w_flat = _tensor_weights(dim)
         # fused projection table: node -> stacked (m, l) basis products
         self.vol_outer = (self.vol_flat[:, :, None] * self.vol_flat[:, None, :]).reshape(
             len(self.w_flat), -1)
         # weighted moment table: node -> weights/2 * (1, xi, xi^2), one direction
-        self.mom = 0.5 * rule.weights[:, None] * np.stack([np.ones_like(q), q, q * q], -1)
+        self.mom = 0.5 * RULE.weights[:, None] * np.stack([np.ones_like(q), q, q * q], -1)
         # the same moments on every quadrature line of every direction, x
         # lines first: node values (..., nq^dim) -> (..., n_lines * 3)
-        unit = np.eye(len(self.w_flat)).reshape((-1,) + (rule.n,) * dim)
+        unit = np.eye(len(self.w_flat)).reshape((-1,) + (RULE.n,) * dim)
         self.line_mom = np.concatenate(
             [np.tensordot(unit, self.mom, axes=([1 + d], [0])).reshape(len(unit), -1)
              for d in range(dim)], axis=1)
         self.proj = _polish_projection(self.vol_flat, self.w_flat, basis.gram)
-        self.faces = tuple(FaceTables(basis, rule, d) for d in range(dim))
+        self.faces = tuple(FaceTables(basis, d) for d in range(dim))
         # the line coefficients of every quadrature line, x lines first
         self.line_coeffs = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
 
@@ -206,11 +212,11 @@ def _polish_projection(vals, weights, gram):
 _TABLE_CACHE = {}
 
 
-def tables_for(mesh, rule):
-    key = (mesh.dim, rule.n)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = Tables(basis_for(mesh), rule)
-    return _TABLE_CACHE[key]
+def tables_for(mesh):
+    """The Tables of the mesh's dimension, built once per dimension."""
+    if mesh.dim not in _TABLE_CACHE:
+        _TABLE_CACHE[mesh.dim] = Tables(basis_for(mesh))
+    return _TABLE_CACHE[mesh.dim]
 
 
 class SeparableSource(tuple):
@@ -218,7 +224,7 @@ class SeparableSource(tuple):
     (time factor a_k, spatial function s_k) terms.
 
     Called as f(t, x[, y]) it returns the sum, like any plain source.
-    `CellQuadrature.load_source` loads each s_k once per mesh and rule, so
+    `CellQuadrature.load_source` loads each s_k once per mesh, so
     the load at a time t costs one small product a(t) @ S.
     """
 
@@ -233,7 +239,7 @@ class SeparableSource(tuple):
 
 
 class CellQuadrature:
-    """The tensor Gauss rule on every cell of one mesh.
+    """The scheme's tensor Gauss rule on every cell of one mesh.
 
     `points` are the physical nodes per direction, (n_cells, nq^dim) each,
     read-only. `values` evaluates modal coefficients at the nodes,
@@ -246,11 +252,11 @@ class CellQuadrature:
     (n_side, ns) per other direction, and `stiffness[d]` = J (2/h_d)^2.
     """
 
-    def __init__(self, mesh, rule):
-        self.tables = tb = tables_for(mesh, rule)
+    def __init__(self, mesh):
+        self.tables = tb = tables_for(mesh)
         dim, h = mesh.dim, mesh.spacing
-        node = [c[:, None] + 0.5 * hd * rule.nodes[None, :] for c, hd in zip(mesh.axes, h)]
-        full = mesh.grid + (rule.n,) * dim
+        node = [c[:, None] + 0.5 * hd * RULE.nodes[None, :] for c, hd in zip(mesh.axes, h)]
+        full = mesh.grid + (RULE.n,) * dim
         points = []
         for d, x in enumerate(node):
             shape = [1] * (2 * dim)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import csvio
 from .config import config_sizes, parse_config, resolve
-from .driver import pnp_step, run
+from .driver import CFL_MODES, pnp_step, run
 from .exceptions import ConfigError, NumericalFatalError, PnpdgError
 from .field import Field, l1_error
 
@@ -95,13 +95,12 @@ def cmd_convergence(args):
             errors["psi"].append(result.errors["psi"])
         else:
             ref_c, ref_psi, _ = ref
-            # the fixed default rule, as in driver.run, not the scheme's quad_n
             for sp, c, rc in zip(problem.species, state.c.coeffs, ref_c.coeffs):
                 errors[sp.name].append(l1_error(Field(problem.mesh, c), Field(ref_c.mesh, rc)))
             errors["psi"].append(l1_error(state.prepared_stage().psi, ref_psi))
     mesh0 = problem0.mesh
     if mesh0.dim == 1:
-        col0, col0_name, inverse = [ (mesh0.x_hi - mesh0.x_lo) / n for n in sizes ], "h", False
+        col0, col0_name, inverse = [(mesh0.hi[0] - mesh0.lo[0]) / n for n in sizes], "h", False
     else:
         col0, col0_name, inverse = sizes, "N", True
     path = os.path.join(cfg.out_dir, "errors.csv")
@@ -161,7 +160,7 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--override-admissibility", action="store_true",
                        help="allow flux parameters outside the provable positivity range")
-        p.add_argument("--cfl", choices=("monitor", "strict", "adaptive"), default=None)
+        p.add_argument("--cfl", choices=CFL_MODES, default=None)
         p.add_argument("--rk", type=int, choices=(1, 2), default=None)
         p.add_argument("--no-limiter", action="store_true")
         p.set_defaults(fn=fn)

@@ -12,8 +12,6 @@ from .driver import SimConfig, check_time_settings
 from .exceptions import ConfigError
 from .field import FluxParams
 
-_CFL_MODES = ("monitor", "strict", "adaptive")
-
 # section -> key -> (attribute, parser)
 def _bool(s):
     if s.lower() in ("true", "1", "yes", "on"):
@@ -139,13 +137,7 @@ def _validate(cfg, dt_line=None, mu_line=None):
         raise ConfigError(f"[custom] dim must be 1 or 2, got {cfg.custom_dim}")
     if cfg.dt is not None and cfg.mu is not None:
         raise ConfigError("give either dt or mu, not both", dt_line or mu_line)
-    check_time_settings(cfg.T, cfg.dt, cfg.mu)
-    if cfg.rk not in (1, 2):
-        raise ConfigError(f"rk must be 1 or 2, got {cfg.rk}")
-    if cfg.cfl not in _CFL_MODES:
-        raise ConfigError(f"cfl must be one of {_CFL_MODES}, got {cfg.cfl!r}")
-    if cfg.cadence < 1:
-        raise ConfigError("cadence must be >= 1")
+    check_time_settings(cfg.T, cfg.dt, cfg.mu, cfg.rk, cfg.cfl, cfg.cadence)
     if cfg.np_beta1 is not None and not cfg.override_admissibility:
         if not (0.125 <= cfg.np_beta1 <= 0.25):
             raise ConfigError(

@@ -18,22 +18,24 @@ import numpy as np
 
 from .basis import basis_for
 from .exceptions import ConfigError, NumericalFatalError
-from .field import DEFAULT_RULE, Field, FluxParams, l1_error, project_l2
+from .field import Field, FluxParams, l1_error, project_l2
 from .poisson import LoadSpec, PoissonBC, assemble_load, assemble_operator
 from .positivity import build_test_set, build_weight, cfl_mu0, scaling_limiter, \
     test_set_values, weighted_projection
-from .quadrature import gauss_rule
 from .transport import apply_mass_inverse, np_rhs
 
 log = logging.getLogger("pnpdg")
 
 ENTROPY_CLIP = 1e-14
 MAX_HALVINGS = 60   # adaptive CFL: step halvings allowed per step
+CFL_MODES = ("monitor", "strict", "adaptive")
 
 
-def check_time_settings(T, dt=None, mu=None):
-    """Rejects a final time, step size or mesh ratio that could hang a run or
-    end it silently: each given value must be finite, T >= 0, dt > 0, mu > 0."""
+def check_time_settings(T, dt, mu, rk, cfl_mode, cadence):
+    """Rejects time settings that could hang a run, end it silently or run a
+    scheme other than the one asked for. T, dt and mu, each unless None,
+    must be finite with T >= 0, dt > 0 and mu > 0; rk must be 1 or 2,
+    cfl_mode one of CFL_MODES and cadence >= 1."""
     for name, value in (("t_final", T), ("dt", dt), ("mu", mu)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
@@ -42,6 +44,12 @@ def check_time_settings(T, dt=None, mu=None):
     for name, value in (("dt", dt), ("mu", mu)):
         if value is not None and value <= 0:
             raise ConfigError(f"{name} must be > 0, got {value}")
+    if rk not in (1, 2):
+        raise ConfigError(f"rk must be 1 or 2, got {rk}")
+    if cfl_mode not in CFL_MODES:
+        raise ConfigError(f"cfl must be one of {CFL_MODES}, got {cfl_mode!r}")
+    if cadence < 1:
+        raise ConfigError("cadence must be >= 1")
 
 
 @dataclass
@@ -91,10 +99,9 @@ class SimConfig:
     cfl_mode: str = "monitor"  # monitor | strict | adaptive
     cadence: int = 1
     override_admissibility: bool = False
-    quad_n: int = 4
 
     def __post_init__(self):
-        check_time_settings(self.T, self.dt, self.mu)
+        check_time_settings(self.T, self.dt, self.mu, self.rk, self.cfl_mode, self.cadence)
 
     def resolve_dt(self, mesh):
         if self.dt is not None:
@@ -152,7 +159,6 @@ class State:
     def __init__(self, problem, config):
         self.problem = problem
         self.config = config
-        self.rule = gauss_rule(config.quad_n)
         self.t = 0.0
         self.operator = None
         self._c = None
@@ -169,7 +175,9 @@ class State:
 
     @c.setter
     def c(self, field):
-        # new densities invalidate the stage prepared from the old ones
+        # new densities invalidate the stage prepared from the old ones; the
+        # array turns read-only, so it cannot change under the cached stage
+        field.coeffs.flags.writeable = False
         self._c = field
         self._prep = None
 
@@ -197,20 +205,19 @@ def init(problem, config):
         )
     state = State(problem, config)
     mesh = problem.mesh
-    points = mesh.quadrature(state.rule).points
+    points = mesh.quadrature.points
     coeffs = []
     for sp in problem.species:
         if sp.init_coeffs is not None:
             coeffs.append(np.tile(np.asarray(sp.init_coeffs, float), (mesh.n_cells, 1)))
         else:
-            coeffs.append(project_l2(sp.c_init, mesh, state.rule).coeffs)
+            coeffs.append(project_l2(sp.c_init, mesh).coeffs)
         vals = sp.c_init(*points)
         if np.min(vals) < 0:
             log.warning("initial data for species %s is negative at quadrature nodes "
                         "(min %.3g)", sp.name, float(np.min(vals)))
     state.c = Field(mesh, np.stack(coeffs))
-    state.operator = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc,
-                                       state.rule)
+    state.operator = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc)
     return state
 
 
@@ -221,7 +228,7 @@ def _prepare_stage(state, c, t, need_cfl=True):
     load = assemble_load(state.operator, c.coeffs, pb.load_spec(), t)
     psi = state.operator.solve(load)
     cap = pb.np_params.in_positivity_range()
-    w = build_weight(psi, np.array(pb.charges, dtype=float), state.rule)
+    w = build_weight(psi, np.array(pb.charges, dtype=float))
     g = weighted_projection(c, w)
     ts = build_test_set(w, pb.np_params, cap=cap)
     if state.config.limiter:
@@ -321,8 +328,7 @@ def run(problem, config, diagnostics=True):
 
     With diagnostics=False no DiagnosticsRecord is built (the result's list
     is empty); the trajectory and the errors are the same. Errors are L1
-    norms by the fixed 4-point rule, whatever the scheme's `quad_n`: a
-    coarser rule can vanish on the leading error term of a P2 field.
+    norms by the scheme's 4-point rule.
     """
     state = init(problem, config)
     dt = config.resolve_dt(problem.mesh)
@@ -341,11 +347,9 @@ def run(problem, config, diagnostics=True):
     errors = {}
     for sp, coeffs in zip(problem.species, state.c.coeffs):
         if sp.exact is not None:
-            errors[sp.name] = l1_error(Field(problem.mesh, coeffs), sp.exact, DEFAULT_RULE,
-                                       t=state.t)
+            errors[sp.name] = l1_error(Field(problem.mesh, coeffs), sp.exact, t=state.t)
     if problem.psi_exact is not None:
-        errors["psi"] = l1_error(state.prepared_stage().psi, problem.psi_exact, DEFAULT_RULE,
-                                 t=state.t)
+        errors["psi"] = l1_error(state.prepared_stage().psi, problem.psi_exact, t=state.t)
     return RunResult(state, records, errors)
 
 
@@ -360,7 +364,7 @@ def free_energy(state, psi=None):
     This is a reporting convention, not a reproduced quantity; densities
     below 1e-14 are clipped inside the logarithm.
     """
-    quad = state.mesh.quadrature(state.rule)
+    quad = state.mesh.quadrature
     if psi is None:
         psi = state.prepared_stage().psi
     cvals = quad.values(state.c.coeffs)
@@ -375,9 +379,9 @@ def free_energy(state, psi=None):
     return entropy + 0.5 * quad.integrate(charge * quad.values(psi.coeffs))
 
 
-def steady_state_init(problem, amplitudes, phi, rule=None):
+def steady_state_init(problem, amplitudes, phi):
     """Stacked densities c_inf * exp(-q phi_h), projected cell by cell."""
-    quad = problem.mesh.quadrature(rule or gauss_rule(4))
+    quad = problem.mesh.quadrature
     phivals = quad.values(phi.coeffs)
     amps = np.asarray(amplitudes, dtype=float)[:, None, None]
     q = np.asarray(problem.charges, dtype=float)[:, None, None]
@@ -386,7 +390,7 @@ def steady_state_init(problem, amplitudes, phi, rule=None):
 
 def fit_steady_amplitudes(state, psi=None):
     """Amplitudes c_inf matching each species' current total mass for exp(-q psi)."""
-    quad = state.mesh.quadrature(state.rule)
+    quad = state.mesh.quadrature
     if psi is None:
         psi = state.prepared_stage().psi
     psivals = quad.values(psi.coeffs)

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_for
-from .quadrature import gauss_rule
-
-DEFAULT_RULE = gauss_rule(4)
 
 
 @dataclass
@@ -51,16 +48,12 @@ class Field:
         return f"Field(shape={self.coeffs.shape}, dim={self.mesh.dim})"
 
 
-def zero_field(mesh):
-    return Field(mesh, np.zeros((mesh.n_cells, basis_for(mesh).nb)))
-
-
-def project_l2(f, mesh, rule=DEFAULT_RULE):
+def project_l2(f, mesh):
     """Per-cell L2 projection of a callable f onto the P2 space.
 
     f takes vectorized physical coordinates: f(x) in 1D, f(x, y) in 2D.
     """
-    quad = mesh.quadrature(rule)
+    quad = mesh.quadrature
     return Field(mesh, quad.project(np.asarray(f(*quad.points), dtype=float)))
 
 
@@ -80,7 +73,7 @@ def weighted_cell_average(field, weight, cell=None):
     for one `cell`.
     """
     mesh = field.mesh
-    quad = mesh.quadrature(weight.rule)
+    quad = mesh.quadrature
     num = (weight.vol * quad.values(field.coeffs)) @ (quad.tables.w_flat / 2 ** mesh.dim)
     # the zeroth moments of the x lines, averaged over the cross direction
     across = quad.tables.faces[0].weights / 2 ** (mesh.dim - 1)
@@ -93,13 +86,13 @@ def weighted_cell_average(field, weight, cell=None):
     return out[..., cell]
 
 
-def l1_error(field, reference, rule=DEFAULT_RULE, t=None):
-    """Sum over cells of int |field - reference| by the given quadrature.
+def l1_error(field, reference, t=None):
+    """Sum over cells of int |field - reference| by the mesh's quadrature.
 
     `reference` is a callable (of x or x, y; with leading t argument when
     `t` is given) or another Field, possibly on a finer mesh.
     """
-    quad = field.mesh.quadrature(rule)
+    quad = field.mesh.quadrature
     ref = _ref_values(reference, t, quad.points)
     return quad.integrate(np.abs(quad.values(field.coeffs) - ref))
 

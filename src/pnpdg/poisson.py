@@ -23,9 +23,9 @@ bordered matrix has a zero diagonal entry.
 
 The load is int((sum_i q_i c_i + rho0 + f) v) plus the boundary terms. The
 density part is the diagonal P2 mass matrix times the charge coefficients
-(the integrand has degree 4, which rules of 3 or more points integrate
-exactly), and a time-separable source f loads through its cached spatial
-loads (`CellQuadrature.load_source`).
+(the integrand has degree 4, which the 4-point rule integrates exactly),
+and a time-separable source f loads through its cached spatial loads
+(`CellQuadrature.load_source`).
 """
 
 import logging
@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .basis import basis_for
 from .exceptions import NumericalFatalError
-from .field import DEFAULT_RULE, Field
+from .field import Field
 from .mesh import SIDES
 
 log = logging.getLogger("pnpdg")
@@ -100,11 +100,10 @@ class LoadSpec:
 
 
 class PoissonOperator:
-    def __init__(self, mesh, params, bc, rule, matrix, boundary_penalty):
+    def __init__(self, mesh, params, bc, matrix, boundary_penalty):
         self.mesh = mesh
         self.params = params
         self.bc = bc
-        self.rule = rule
         self.matrix = matrix
         self.boundary_penalty = boundary_penalty
         self.gauge = bc.zero_mean_gauge and not bc.dirichlet_sides()
@@ -137,7 +136,7 @@ def _sides(quad, d):
     return ((SIDES[d][0], ft.v_p, ft.d_p, -1.0, lo), (SIDES[d][1], ft.v_m, ft.d_m, 1.0, hi))
 
 
-def assemble_operator(mesh, params, bc, rule=DEFAULT_RULE):
+def assemble_operator(mesh, params, bc):
     """Assemble and factorize the Poisson DDG matrix for the given mesh/BC."""
     bc.validate(mesh)
     thresh = gamma_d(2, params.beta1)
@@ -147,7 +146,7 @@ def assemble_operator(mesh, params, bc, rule=DEFAULT_RULE):
             "gamma_d(beta1)=%g; the bound is sufficient only, continuing", params.beta0, thresh,
         )
     bb = max(params.beta0, 2.0 * gamma_d(2, 0.0))
-    quad = mesh.quadrature(rule)
+    quad = mesh.quadrature
     tb = quad.tables
     nb = basis_for(mesh).nb
     cells = np.arange(mesh.n_cells).reshape(mesh.grid + (1,))
@@ -174,7 +173,7 @@ def assemble_operator(mesh, params, bc, rule=DEFAULT_RULE):
     rows, cols = (np.broadcast_to(x, vals.shape).ravel() for x in (rows, cols))
     nd = nb * mesh.n_cells
     A = sps.csr_matrix((vals.ravel(), (rows, cols)), shape=(nd, nd))
-    return PoissonOperator(mesh, params, bc, rule, A, bb)
+    return PoissonOperator(mesh, params, bc, A, bb)
 
 
 def _interior_face_block(ft, h, fw, params, nb):
@@ -203,7 +202,7 @@ def assemble_load(op, densities, load, t=0.0):
     """Right-hand-side vector at time t for the stacked density coefficients
     `densities`, (m_species, n_cells, nb), and the boundary data."""
     mesh = op.mesh
-    quad = mesh.quadrature(op.rule)
+    quad = mesh.quadrature
     bb = op.boundary_penalty
     gram = basis_for(mesh).gram
     charge = sum((q * c for q, c in zip(load.charges, densities)),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import tables_for
 from .exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
-from .field import DEFAULT_RULE, Field, weighted_cell_average
+from .field import Field, weighted_cell_average
 
 OVERFLOW_LIMIT = 700.0  # |q psi| beyond this overflows double-precision exp
 
@@ -54,15 +54,14 @@ class WeightField:
     array of m charges.
     """
 
-    def __init__(self, mesh, rule, vol, faces):
+    def __init__(self, mesh, vol, faces):
         self.mesh = mesh
-        self.rule = rule
         self.vol = vol
         self.faces = faces
-        self.lines = (vol @ tables_for(mesh, rule).line_mom).reshape(vol.shape[:-1] + (-1, 3))
+        self.lines = (vol @ tables_for(mesh).line_mom).reshape(vol.shape[:-1] + (-1, 3))
 
 
-def build_weight(psi, q, rule=DEFAULT_RULE):
+def build_weight(psi, q):
     """M = exp(-q psi) at the volume nodes and its face means.
 
     `q` is one charge, or an array of charges whose shape leads every array.
@@ -70,7 +69,7 @@ def build_weight(psi, q, rule=DEFAULT_RULE):
     exponent guard at any volume or trace node.
     """
     mesh = psi.mesh
-    t = tables_for(mesh, rule)
+    t = tables_for(mesh)
     vol = psi.coeffs @ t.vol_flat.T
     # psi on the high (xi_d = +1) and the low (xi_d = -1) side of every cell
     traces = [(psi.coeffs @ ft.v_m.T, psi.coeffs @ ft.v_p.T) for ft in t.faces]
@@ -85,7 +84,7 @@ def build_weight(psi, q, rule=DEFAULT_RULE):
         f[ft.at(0)] = lo[ft.at(0)]
         f[ft.at(-1)] = hi[ft.at(-1)]
         faces.append(f)
-    return WeightField(mesh, rule, _exp_weight(q, vol), tuple(faces))
+    return WeightField(mesh, _exp_weight(q, vol), tuple(faces))
 
 
 def _exp_weight(q, v):
@@ -137,7 +136,6 @@ class TestSet:
     `line_weights`, (..., n, n_lines, 3); the lines are those of
     `WeightField.lines` and the leading axes those of the weight."""
 
-    rule: object
     lo: np.ndarray
     hi: np.ndarray
     gammas: np.ndarray
@@ -151,7 +149,7 @@ def build_test_set(weight, params, cap=True):
     a, b = _intervals(m0, m1, m2)
     g = _select_gammas(a, b, params.beta1, cap)
     w = np.stack(_lagrange_weights(m0, m1, m2, g), axis=-1)
-    return TestSet(weight.rule, a, b, g, w)
+    return TestSet(a, b, g, w)
 
 
 def weighted_projection(c, weight):
@@ -164,7 +162,7 @@ def weighted_projection(c, weight):
     symmetric positive definite when M > 0, since the Gauss weights are
     positive, so a nonpositive pivot means a nonpositive weight.
     """
-    t = tables_for(c.mesh, weight.rule)
+    t = tables_for(c.mesh)
     gram = c.basis.gram
     nb = len(gram)
     coeffs = c.coeffs.reshape(-1, nb)
@@ -205,7 +203,7 @@ def test_set_values(g, testset):
     in xi_d; one table gives the coefficients of every line.
     """
     gam = testset.gammas
-    coef = g.coeffs @ tables_for(g.mesh, testset.rule).line_coeffs
+    coef = g.coeffs @ tables_for(g.mesh).line_coeffs
     a = coef.reshape(gam.shape + (3,))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     even = a0 + a2
@@ -300,7 +298,7 @@ def cfl_mu0(weight, testset, params):
     # through a (..., *grid, dim, lines per direction) view
     lo, hi = np.empty(testset.gammas.shape), np.empty(testset.gammas.shape)
     grid = lo.shape[:-2] + mesh.grid + (mesh.dim, -1)
-    for d, (ft, mf) in enumerate(zip(tables_for(mesh, weight.rule).faces, weight.faces)):
+    for d, (ft, mf) in enumerate(zip(tables_for(mesh).faces, weight.faces)):
         lo.reshape(grid)[..., d, :] = mf[ft.minus]
         hi.reshape(grid)[..., d, :] = mf[ft.plus]
     m, w = weight.lines, testset.line_weights

@@ -10,15 +10,9 @@ shared kernel `FaceTables.flux`.
 `np_rhs` and `apply_mass_inverse` take the leading axes of their inputs:
 with g and the weight field of all m species of a stage, shapes
 (m, n_cells, ...), one call gives the increments of every species.
-
-`decomposition_cell_averages` advances only the cell averages through the
-quadrature/decomposition identity; it must agree with the v = 1 component
-of the full update to roundoff and serves as a consistency oracle.
 """
 
 import numpy as np
-
-from .positivity import test_set_values
 
 
 def np_rhs(g, weight, params, source=None, t=0.0):
@@ -29,7 +23,7 @@ def np_rhs(g, weight, params, source=None, t=0.0):
     species. A SeparableSource loads through its cached spatial loads.
     """
     mesh = g.mesh
-    quad = mesh.quadrature(weight.rule)
+    quad = mesh.quadrature
     faces = quad.tables.faces
     c = g.coeffs
     lead = c.shape[:-2]
@@ -61,28 +55,3 @@ def apply_mass_inverse(mesh, basis, rhs):
     """Invert the diagonal unweighted mass matrix on weak-form increments."""
     return rhs / (mesh.cell_volume / 2 ** mesh.dim * basis.gram)
 
-
-def decomposition_cell_averages(g, weight, testset, params, dt):
-    """Cell averages after one explicit step, via the decomposition identity.
-
-    Per direction and quadrature line, writes the weighted average of g as
-    the positive combination over the test set and adds the mesh-ratio
-    scaled face flux differences; the directional contributions are blended
-    with mu_d/mu and integrated by the face quadrature.
-    """
-    mesh = g.mesh
-    quad = mesh.quadrature(weight.rule)
-    n = mesh.n_cells
-    vals = test_set_values(g, testset).reshape(n, mesh.dim, -1, 3)
-    mus = [dt / h ** 2 for h in mesh.spacing]
-    mu = sum(mus)
-    c = g.coeffs.reshape(mesh.grid + (-1,))
-    out = 0.0
-    weights = testset.line_weights.reshape(n, mesh.dim, -1, 3)
-    for d, (ft, h, mf) in enumerate(zip(quad.tables.faces, mesh.spacing, weight.faces)):
-        mflux = np.zeros(mf.shape)   # zero flux on the boundary faces
-        mflux[ft.inner] = mf[ft.inner] * ft.flux(c, h, params)[2].reshape(mf[ft.inner].shape)
-        line = np.einsum("nsi,nsi->ns", weights[:, d], vals[:, d]) \
-            + mu * h * np.diff(mflux, axis=ft.axis).reshape(n, -1)
-        out = out + (mus[d] / mu) * (line @ (ft.weights / 2 ** (mesh.dim - 1)))
-    return out

@@ -92,7 +92,7 @@ class _Rounded:
             op = assemble_operator(*args, **kwargs)
             A = op.matrix.copy()
             A.data = self._round(A.data)
-            return PoissonOperator(op.mesh, op.params, op.bc, op.rule, A, op.boundary_penalty)
+            return PoissonOperator(op.mesh, op.params, op.bc, A, op.boundary_penalty)
 
         def rounded_load(*args, **kwargs):
             return self._round(assemble_load(*args, **kwargs))
@@ -101,7 +101,7 @@ class _Rounded:
             rhs = np_rhs(g, weight, params, t=t)
             if source is None:
                 return rhs
-            quad = g.mesh.quadrature(weight.rule)
+            quad = g.mesh.quadrature
             for i, f in enumerate(source):
                 if f is not None:
                     rhs[i] += self._round(quad.load(f(t, *quad.points)))

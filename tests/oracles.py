@@ -4,15 +4,24 @@ These evaluate the modal expansion, the two-sided traces of one face and
 the DDG flux one point at a time, straight from the Legendre basis, and
 restate the per-cell test-interval and decomposition-weight formulas. The
 solver's batched kernels are checked against them.
+
+`decomposition_cell_averages` advances only the cell averages through the
+quadrature/decomposition identity; it must agree with the v = 1 component
+of the full update to roundoff.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from pnpdg.basis import RULE, basis_for
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError
-from pnpdg.field import DEFAULT_RULE
-from pnpdg.positivity import WeightField
+from pnpdg.field import Field
+from pnpdg.positivity import WeightField, test_set_values
+
+
+def zero_field(mesh):
+    return Field(mesh, np.zeros((mesh.n_cells, basis_for(mesh).nb)))
 
 
 def _table(field, orders, point):
@@ -28,9 +37,10 @@ def eval_grad(field, cell, point):
     """Physical gradient at a reference point (scalar in 1D, length-2 vector in 2D)."""
     m = field.mesh
     if m.dim == 1:
-        return float(field.coeffs[cell] @ _table(field, (1,), point)) * (2.0 / m.h)
-    gx = float(field.coeffs[cell] @ _table(field, (1, 0), point)) * (2.0 / m.dx)
-    gy = float(field.coeffs[cell] @ _table(field, (0, 1), point)) * (2.0 / m.dy)
+        return float(field.coeffs[cell] @ _table(field, (1,), point)) * (2.0 / m.spacing[0])
+    sx, sy = (2.0 / h for h in m.spacing)
+    gx = float(field.coeffs[cell] @ _table(field, (1, 0), point)) * sx
+    gy = float(field.coeffs[cell] @ _table(field, (0, 1), point)) * sy
     return np.array([gx, gy])
 
 
@@ -38,10 +48,11 @@ def eval_second(field, cell, point):
     """Physical second derivative: scalar in 1D, 2x2 Hessian in 2D."""
     m = field.mesh
     if m.dim == 1:
-        return float(field.coeffs[cell] @ _table(field, (2,), point)) * (2.0 / m.h) ** 2
-    hxx = float(field.coeffs[cell] @ _table(field, (2, 0), point)) * (2.0 / m.dx) ** 2
-    hyy = float(field.coeffs[cell] @ _table(field, (0, 2), point)) * (2.0 / m.dy) ** 2
-    hxy = float(field.coeffs[cell] @ _table(field, (1, 1), point)) * (2.0 / m.dx) * (2.0 / m.dy)
+        return float(field.coeffs[cell] @ _table(field, (2,), point)) * (2.0 / m.spacing[0]) ** 2
+    sx, sy = (2.0 / h for h in m.spacing)
+    hxx = float(field.coeffs[cell] @ _table(field, (2, 0), point)) * sx ** 2
+    hyy = float(field.coeffs[cell] @ _table(field, (0, 2), point)) * sy ** 2
+    hxy = float(field.coeffs[cell] @ _table(field, (1, 1), point)) * sx * sy
     return np.array([[hxx, hxy], [hxy, hyy]])
 
 
@@ -86,7 +97,7 @@ class FaceTrace:
         return self.d2n_plus - self.d2n_minus
 
 
-def face_trace(field, face, rule=DEFAULT_RULE):
+def face_trace(field, face):
     """Extract the FaceTrace of a field on one face.
 
     1D: `face` is the interface index 0..n_cells. 2D: ('x', i, l) is the
@@ -98,7 +109,7 @@ def face_trace(field, face, rule=DEFAULT_RULE):
     c = field.coeffs
     b = field.basis
     if m.dim == 1:
-        s = 2.0 / m.h
+        s = 2.0 / m.spacing[0]
         left = face - 1 if face > 0 else None
         right = face if face < m.n_cells else None
         wm = dm = d2m = wp = dp = d2p = None
@@ -108,24 +119,25 @@ def face_trace(field, face, rule=DEFAULT_RULE):
         if right is not None:
             wp, dp, d2p = (s ** k * float(c[right] @ b.table((k,), np.array(-1.0)))
                            for k in range(3))
-        return FaceTrace(wm, wp, dm, dp, d2m, d2p, m.h)
+        return FaceTrace(wm, wp, dm, dp, d2m, d2p, m.spacing[0])
     axis, i, row = face
-    q = rule.nodes
-    ones = np.ones(rule.n)
+    q = RULE.nodes
+    ones = np.ones(RULE.n)
+    index = np.arange(m.n_cells).reshape(m.grid)
     if axis == "x":
-        s = 2.0 / m.dx
-        left = m.cell_index(i - 1, row) if i > 0 else None
-        right = m.cell_index(i, row) if i < m.nx else None
+        s = 2.0 / m.spacing[0]
+        left = index[row, i - 1] if i > 0 else None
+        right = index[row, i] if i < m.shape[0] else None
         minus = [b.table((k, 0), ones, q) for k in range(3)]
         plus = [b.table((k, 0), -ones, q) for k in range(3)]
-        h_e = m.dx
+        h_e = m.spacing[0]
     else:
-        s = 2.0 / m.dy
-        left = m.cell_index(row, i - 1) if i > 0 else None
-        right = m.cell_index(row, i) if i < m.ny else None
+        s = 2.0 / m.spacing[1]
+        left = index[i - 1, row] if i > 0 else None
+        right = index[i, row] if i < m.shape[1] else None
         minus = [b.table((0, k), q, ones) for k in range(3)]
         plus = [b.table((0, k), q, -ones) for k in range(3)]
-        h_e = m.dy
+        h_e = m.spacing[1]
     wm = dm = d2m = wp = dp = d2p = None
     if left is not None:
         wm, dm, d2m = (s ** k * (t @ c[left]) for k, t in enumerate(minus))
@@ -140,12 +152,12 @@ def ddg_flux(trace, params):
         + params.beta1 * trace.h_e * trace.d2n_jump
 
 
-def weight_from_values(mesh, rule, vol):
+def weight_from_values(mesh, vol):
     """Assemble a WeightField, without face means, from explicit positive
     volume values (n_cells, nq^dim)."""
     if np.any(vol <= 0):
         raise ValueError("weight volume values must be positive")
-    return WeightField(mesh, rule, vol, ())
+    return WeightField(mesh, vol, ())
 
 
 def test_interval(weight, cell, line=0):
@@ -190,3 +202,29 @@ def decomposition_weights(weight, cell, gamma, line=0):
             f"nonpositive decomposition weight in cell {cell}: gamma={gamma} outside (a, b)"
         )
     return tuple(float(x) for x in w)
+
+
+def decomposition_cell_averages(g, weight, testset, params, dt):
+    """Cell averages after one explicit step, via the decomposition identity.
+
+    Per direction and quadrature line, writes the weighted average of g as
+    the positive combination over the test set and adds the mesh-ratio
+    scaled face flux differences; the directional contributions are blended
+    with mu_d/mu and integrated by the face quadrature.
+    """
+    mesh = g.mesh
+    n = mesh.n_cells
+    vals = test_set_values(g, testset).reshape(n, mesh.dim, -1, 3)
+    mus = [dt / h ** 2 for h in mesh.spacing]
+    mu = sum(mus)
+    c = g.coeffs.reshape(mesh.grid + (-1,))
+    out = 0.0
+    weights = testset.line_weights.reshape(n, mesh.dim, -1, 3)
+    for d, (ft, h, mf) in enumerate(zip(mesh.quadrature.tables.faces, mesh.spacing,
+                                        weight.faces)):
+        mflux = np.zeros(mf.shape)   # zero flux on the boundary faces
+        mflux[ft.inner] = mf[ft.inner] * ft.flux(c, h, params)[2].reshape(mf[ft.inner].shape)
+        line = np.einsum("nsi,nsi->ns", weights[:, d], vals[:, d]) \
+            + mu * h * np.diff(mflux, axis=ft.axis).reshape(n, -1)
+        out = out + (mus[d] / mu) * (line @ (ft.weights / 2 ** (mesh.dim - 1)))
+    return out

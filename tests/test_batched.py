@@ -19,10 +19,8 @@ from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
 from pnpdg.positivity import test_set_values as values_on_test_set
-from pnpdg.quadrature import gauss_rule
 from pnpdg.transport import apply_mass_inverse, np_rhs
 
-RULE = gauss_rule(4)
 P = FluxParams(2.0, 1 / 6)
 CHARGES = np.array([1.0, -2.0])
 
@@ -49,8 +47,7 @@ def _stage(dim, rng):
 
 def _assert_same_arrays(batched, single, i):
     for f in fields(single):
-        if f.name != "rule":
-            assert np.array_equal(getattr(batched, f.name)[i], getattr(single, f.name)), f.name
+        assert np.array_equal(getattr(batched, f.name)[i], getattr(single, f.name)), f.name
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -58,7 +55,7 @@ def test_batched_kernels_match_single_species_bitwise(dim, rng):
     mesh, psi, c = _stage(dim, rng)
     basis = basis_for(mesh)
     sources = [_source(dim), None]
-    wb = build_weight(psi, CHARGES, RULE)
+    wb = build_weight(psi, CHARGES)
     gb = weighted_projection(Field(mesh, c), wb)
     tsb = build_test_set(wb, P)
     lb, repb = scaling_limiter(gb, wb, tsb)
@@ -70,7 +67,7 @@ def test_batched_kernels_match_single_species_bitwise(dim, rng):
 
     n_limited, mu0 = 0, np.inf
     for i, q in enumerate(CHARGES):
-        w = build_weight(psi, float(q), RULE)
+        w = build_weight(psi, float(q))
         assert np.array_equal(wb.vol[i], w.vol)
         assert np.array_equal(wb.lines[i], w.lines)
         assert len(wb.faces) == len(w.faces) == dim
@@ -100,7 +97,7 @@ def test_closed_form_post_limit_minimum(dim, rng):
     # the report's min_post is theta*mn + (1-theta)*wbar, not a second
     # evaluation of the test set; both must agree to roundoff
     mesh, psi, c = _stage(dim, rng)
-    w = build_weight(psi, CHARGES, RULE)
+    w = build_weight(psi, CHARGES)
     g = weighted_projection(Field(mesh, c), w)
     ts = build_test_set(w, P)
     out, rep = scaling_limiter(g, w, ts)
@@ -133,7 +130,7 @@ def test_limiter_properties_batched(dim, data):
     mesh, psi, q, c, avg = data.draw(_data(dim))
     c = c.copy()
     c[..., 0] = avg
-    w = build_weight(Field(mesh, 0.3 * psi), q, RULE)
+    w = build_weight(Field(mesh, 0.3 * psi), q)
     g = weighted_projection(Field(mesh, c), w)
     ts = build_test_set(w, P)
     out, rep = scaling_limiter(g, w, ts)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from pnpdg.basis import SeparableSource
+from oracles import zero_field
+from pnpdg.basis import RULE, SeparableSource
 from pnpdg.benchmarks import build_benchmark
 from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, fit_steady_amplitudes,
                           free_energy, init, pnp_step, run, steady_state_init, total_mass)
 from pnpdg.exceptions import ConfigError, NumericalFatalError
-from pnpdg.field import Field, l1_error, project_l2, zero_field
-from pnpdg.quadrature import gauss_rule
+from pnpdg.field import Field, l1_error, project_l2
 
 
 def test_example2_initial_masses():
@@ -40,8 +40,7 @@ def test_neutral_state_is_fixed_point(mu_factor, tol, dim):
     # per-step deviation of the exactly-constant state; one step per ratio
     problem, _ = build_benchmark("neutral", 8, dim=dim)
     state = init(problem, SimConfig(T=1.0, mu=mu_factor, rk=1))
-    h = state.mesh.h if dim == 1 else state.mesh.dx
-    dt = mu_factor * h**2
+    dt = mu_factor * state.mesh.spacing[0]**2
     before = state.c.coeffs.copy()
     pnp_step(state, dt)
     assert np.max(np.abs(state.c.coeffs - before)) < tol
@@ -51,7 +50,7 @@ def test_neutral_state_fixed_point_sustained():
     # at a stable ratio the state stays put step after step
     problem, _ = build_benchmark("neutral", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01))
-    dt = 0.01 * state.mesh.h**2
+    dt = 0.01 * state.mesh.spacing[0]**2
     before = state.c.coeffs.copy()
     for _ in range(100):
         pnp_step(state, dt)
@@ -146,6 +145,17 @@ def test_sim_config_rejects_bad_time_settings(kwargs):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(rk=3), "rk must be 1 or 2"),
+    (dict(cfl_mode="strictt"), "cfl must be one of"),
+    (dict(cadence=0), "cadence must be >= 1"),
+], ids=["rk", "cfl_mode", "cadence"])
+def test_sim_config_rejects_bad_scheme_settings(kwargs, match):
+    # none of these may fall back to another scheme or fail inside the run
+    with pytest.raises(ConfigError, match=match):
+        SimConfig(T=0.1, **kwargs)
+
+
 @pytest.mark.parametrize("shrink,ok", [(1.0, True), (0.99, False)])
 def test_adaptive_cfl_halvings_are_capped(shrink, ok):
     # mu0 set so that exactly MAX_HALVINGS halvings reach it (shrink 1), or
@@ -154,7 +164,7 @@ def test_adaptive_cfl_halvings_are_capped(shrink, ok):
     state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
     dt = 1e-3
     prep = state.prepared_stage()
-    prep.mu0 = shrink * dt / state.mesh.h ** 2 * 0.5 ** MAX_HALVINGS
+    prep.mu0 = shrink * dt / state.mesh.spacing[0] ** 2 * 0.5 ** MAX_HALVINGS
     if ok:
         pnp_step(state, dt)
         assert state.t == dt * 0.5 ** MAX_HALVINGS
@@ -182,8 +192,8 @@ def test_steady_state_reinit_is_stationary():
     state = res.state
     psi = state.prepared_stage().psi
     amps = fit_steady_amplitudes(state)
-    state.c = steady_state_init(problem, amps, psi, rule=state.rule)
-    dt = 0.01 * state.mesh.h**2
+    state.c = steady_state_init(problem, amps, psi)
+    dt = 0.01 * state.mesh.spacing[0]**2
     before = state.c.coeffs.copy()
     pnp_step(state, dt)
     assert np.abs(state.c.coeffs - before).max() < 1e-8
@@ -207,23 +217,19 @@ def test_replacing_densities_drops_the_prepared_stage(rk):
     assert np.array_equal(steps[0], steps[1])
 
 
-def test_quadrature_order_insensitivity():
-    # volume integrals with the exponential weight: running the scheme with a
-    # 6-point rule changes the Example 1 errors by well under one percent
-    # (errors always measured with the standard 4-point rule)
-    from pnpdg.quadrature import gauss_rule
-    errs = {}
-    for nq in (4, 6):
-        problem, _ = build_benchmark("example1", 10)
-        res = run(problem, SimConfig(T=0.01, mu=0.01, quad_n=nq, cadence=100))
-        T = res.state.t
-        errs[nq] = {
-            sp.name: l1_error(Field(problem.mesh, c), sp.exact, gauss_rule(4), t=T)
-            for sp, c in zip(problem.species, res.state.c.coeffs)
-        }
-    for name in ("c1", "c2"):
-        rel = abs(errs[4][name] - errs[6][name]) / errs[6][name]
-        assert rel < 0.01, f"{name}: 4- vs 6-point relative change {rel}"
+def test_editing_densities_in_place_is_refused():
+    # an in-place write would leave the prepared stage of the old densities
+    # in the cache; the state's coefficient array is read-only instead
+    problem, _ = build_benchmark("example2", 10)
+    config = SimConfig(T=1.0, mu=0.01, rk=1)
+    state = init(problem, config)
+    state.prepared_stage()
+    with pytest.raises(ValueError):
+        state.c.coeffs[..., 0] = 2.0
+    pnp_step(state, 1e-4)
+    cold = init(problem, config)
+    pnp_step(cold, 1e-4)
+    assert np.array_equal(state.c.coeffs, cold.c.coeffs)
 
 
 def _residual_points_1d(rng, n=40):
@@ -288,7 +294,7 @@ def test_example3_sources_satisfy_pde(case, variant, rng):
 ])
 def test_registry_sources_are_separable(name, kwargs):
     problem, _ = build_benchmark(name, 6, **kwargs)
-    quad = problem.mesh.quadrature(gauss_rule(4))
+    quad = problem.mesh.quadrature
     sources = [sp.source for sp in problem.species] + [problem.poisson_source]
     sources = [f for f in sources if f is not None]
     assert sources and all(isinstance(f, SeparableSource) for f in sources)
@@ -310,15 +316,15 @@ def test_zero_step_is_identity():
 
 
 def test_errors_use_the_fixed_four_point_rule():
-    # with quad_n = 3 the leading P3 error term of a P2 field vanishes at the
-    # scheme's nodes; the reported L1 error must still be the 4-point one
+    # a coarser rule can vanish on the leading P3 error term of a P2 field;
+    # the reported L1 error is the one of the scheme's 4-point rule
     T = 0.002
     problem, _ = build_benchmark("example1", 10)
-    result = run(problem, SimConfig(T=T, mu=0.01, quad_n=3))
+    result = run(problem, SimConfig(T=T, mu=0.01))
     assert result.state.t == T
+    assert RULE.n == 4
     c = Field(problem.mesh, result.state.c.coeffs[0])
-    assert result.errors["c1"] == l1_error(c, problem.species[0].exact, gauss_rule(4), t=T)
-    assert result.errors["c1"] != l1_error(c, problem.species[0].exact, gauss_rule(3), t=T)
+    assert result.errors["c1"] == l1_error(c, problem.species[0].exact, t=T)
 
 
 def test_run_without_diagnostics():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import ddg_flux, face_trace
-from pnpdg.basis import basis_for, tables_for
-from pnpdg.field import DEFAULT_RULE, Field, FluxParams
+from pnpdg.basis import RULE, basis_for, tables_for
+from pnpdg.field import Field, FluxParams
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 
 
@@ -21,8 +21,8 @@ def _interior_faces(mesh, d):
     if mesh.dim == 1:
         return list(range(1, mesh.n_cells))
     if d == 0:
-        return [("x", i, l) for l in range(mesh.ny) for i in range(1, mesh.nx)]
-    return [("y", i, j) for i in range(1, mesh.ny) for j in range(mesh.nx)]
+        return [("x", i, l) for l in range(mesh.shape[1]) for i in range(1, mesh.shape[0])]
+    return [("y", i, j) for i in range(1, mesh.shape[1]) for j in range(mesh.shape[0])]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -30,14 +30,14 @@ def _interior_faces(mesh, d):
                          ids=["beta4-1_6", "beta1.5-0.23"])
 def test_face_kernel_matches_per_face_oracle(dim, params, rng):
     mesh = build_mesh_1d(-0.5, 1.2, 7) if dim == 1 else build_mesh_2d(1.3, 0.7, 5, 4)
-    tb = tables_for(mesh, DEFAULT_RULE)
+    tb = tables_for(mesh)
     for _ in range(5):
         f = Field(mesh, rng.normal(size=(mesh.n_cells, basis_for(mesh).nb)))
         c = f.coeffs.reshape(mesh.grid + (-1,))
         for d, (ft, h) in enumerate(zip(tb.faces, mesh.spacing)):
             gm, gp, flux = ft.flux(c, h, params)
             keys = _interior_faces(mesh, d)
-            assert flux.shape == (len(keys), DEFAULT_RULE.n ** (dim - 1))
+            assert flux.shape == (len(keys), RULE.n ** (dim - 1))
             scale = np.abs(flux).max()
             for k, key in enumerate(keys):
                 tr = face_trace(f, key)
@@ -50,7 +50,7 @@ def test_face_kernel_matches_per_face_oracle(dim, params, rng):
 def test_face_kernel_takes_leading_axes(rng):
     # a species axis in front gives each species' single-field flux
     mesh = build_mesh_2d(1.0, 1.0, 4, 3)
-    tb = tables_for(mesh, DEFAULT_RULE)
+    tb = tables_for(mesh)
     c = rng.normal(size=(2,) + mesh.grid + (6,))
     for ft, h in zip(tb.faces, mesh.spacing):
         batched = ft.flux(c, h, FluxParams(4.0, 1 / 6))

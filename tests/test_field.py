@@ -3,20 +3,18 @@ import pytest
 
 from oracles import (FaceTrace, ddg_flux, eval_field, eval_grad, eval_second, face_trace,
                      weight_from_values)
-from pnpdg.basis import BASIS_1D, BASIS_2D, tables_for
+from pnpdg.basis import BASIS_1D, BASIS_2D, RULE, tables_for
 from pnpdg.field import Field, FluxParams, l1_error, project_l2, weighted_cell_average
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 from pnpdg.quadrature import gauss_rule
 
-RULE = gauss_rule(4)
-
 
 def test_basis_orthogonality():
     # Gram matrices diagonal under the reference measure
-    t1 = tables_for(build_mesh_1d(0, 1, 2), RULE)
+    t1 = tables_for(build_mesh_1d(0, 1, 2))
     G = np.einsum("q,qm,ql->ml", RULE.weights, t1.vol, t1.vol)
     assert np.max(np.abs(G - np.diag(BASIS_1D.gram))) < 1e-14
-    t2 = tables_for(build_mesh_2d(1, 1, 2, 2), RULE)
+    t2 = tables_for(build_mesh_2d(1, 1, 2, 2))
     w2 = RULE.weights[:, None] * RULE.weights[None, :]
     G = np.einsum("qs,qsm,qsl->ml", w2, t2.vol, t2.vol)
     assert np.max(np.abs(G - np.diag(BASIS_2D.gram))) < 1e-14
@@ -47,8 +45,7 @@ def test_projection_idempotent():
     f = project_l2(lambda x: np.sin(3 * x) + x**2, m)
 
     def evaluator(x):
-        cells = m.cell_of(x)
-        xi = m.to_reference(cells, x)
+        cells, (xi,) = m.locate(x)
         return np.einsum("...m,...m->...", f.coeffs[cells], BASIS_1D.vals(xi))
 
     g = project_l2(evaluator, m)
@@ -85,15 +82,15 @@ def test_eval_grad_matches_finite_differences(rng):
     for cell in range(3):
         for xi in (-0.4, 0.25):
             fd = (eval_field(f, cell, xi + step) - eval_field(f, cell, xi - step)) / (2 * step)
-            fd_phys = fd * 2.0 / m.h
+            fd_phys = fd * 2.0 / m.spacing[0]
             assert abs(eval_grad(f, cell, xi) - fd_phys) < 1e-6
     m2 = build_mesh_2d(1, 2, 2, 2)
     f2 = Field(m2, rng.normal(size=(4, 6)))
     g = eval_grad(f2, 1, (0.1, -0.3))
     fdx = (eval_field(f2, 1, (0.1 + step, -0.3)) - eval_field(f2, 1, (0.1 - step, -0.3))) \
-        / (2 * step) * 2.0 / m2.dx
+        / (2 * step) * 2.0 / m2.spacing[0]
     fdy = (eval_field(f2, 1, (0.1, -0.3 + step)) - eval_field(f2, 1, (0.1, -0.3 - step))) \
-        / (2 * step) * 2.0 / m2.dy
+        / (2 * step) * 2.0 / m2.spacing[1]
     assert abs(g[0] - fdx) < 1e-6 and abs(g[1] - fdy) < 1e-6
 
 
@@ -156,7 +153,7 @@ def test_ddg_flux_consistency_on_smooth_field():
     m = build_mesh_1d(0, 1, 5)
     f = project_l2(lambda x: 1 + 2 * x + 3 * x**2, m)
     for i in range(1, 5):
-        x = m.interfaces[i]
+        x = m.lo[0] + i * m.spacing[0]
         tr = face_trace(f, i)
         for p in (FluxParams(4.0, 1 / 6), FluxParams(1.0, 1 / 8)):
             assert abs(ddg_flux(tr, p) - (2 + 6 * x)) < 1e-11
@@ -174,7 +171,7 @@ def test_cell_averages():
     m = build_mesh_1d(0, 1, 3)
     f = Field(m, np.array([[2.0, 0, 0]] * 3))
     vol = np.ones((3, RULE.n))
-    w = weight_from_values(m, RULE, vol)
+    w = weight_from_values(m, vol)
     np.testing.assert_allclose(f.cell_averages, 2.0)
     np.testing.assert_allclose(weighted_cell_average(f, w), 2.0, atol=1e-14)
     odd = Field(m, np.array([[0.0, 1.0, 0]] * 3))
@@ -185,8 +182,8 @@ def test_weighted_average_exponential_weight():
     # cell [-1, 1]: field xi with weight e^-xi; oracle by 10-point quadrature
     m = build_mesh_1d(-3, 1, 2)
     f = Field(m, np.array([[0.0, 1, 0], [0.0, 1, 0]]))
-    xq = m.quad_points(RULE)
-    w = weight_from_values(m, RULE, np.exp(-(xq - m.centers[:, None]) / (m.h / 2)))
+    xq = m.quadrature.points[0]
+    w = weight_from_values(m, np.exp(-(xq - m.axes[0][:, None]) / (m.spacing[0] / 2)))
     fine = gauss_rule(10)
     oracle = np.sum(fine.weights * fine.nodes * np.exp(-fine.nodes)) \
         / np.sum(fine.weights * np.exp(-fine.nodes))
@@ -201,7 +198,7 @@ def test_weighted_average_rejects_bad_weight():
     m = build_mesh_1d(0, 1, 2)
     f = Field(m, np.ones((2, 3)))
     with pytest.raises(ValueError):
-        weight_from_values(m, RULE, -np.ones((2, RULE.n)))
+        weight_from_values(m, -np.ones((2, RULE.n)))
 
 
 def test_eval_second_2d_hessian():

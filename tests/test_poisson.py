@@ -91,7 +91,7 @@ def test_load_uniform_density():
     op = assemble_operator(m, P16, bc_dir_both())
     c = Field(m, np.tile([1.0, 0, 0], (4, 1)))
     b = assemble_load(op, c.coeffs[None], LoadSpec([1.0]), t=0.0).reshape(4, 3)
-    np.testing.assert_allclose(b[:, 0], m.h, atol=1e-15)
+    np.testing.assert_allclose(b[:, 0], m.spacing[0], atol=1e-15)
     assert np.max(np.abs(b[:, 1:])) < 1e-15
 
 
@@ -192,7 +192,7 @@ def test_gauged_solution_has_zero_mean():
     b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), LoadSpec([1.0, -1.0]),
                       t=0.0)
     psi = op.solve(b)
-    assert abs(psi.coeffs[:, 0].sum() * m.h) < 1e-12
+    assert abs(psi.coeffs[:, 0].sum() * m.spacing[0]) < 1e-12
     resid = op.matrix @ psi.coeffs.ravel() - b
     # residual orthogonal to the complement of the constant mode
     assert np.abs(resid - resid.reshape(8, 3)[:, 0].mean() * np.tile([1, 0, 0], 8)).max() < 1e-10
@@ -230,6 +230,6 @@ def test_density_load_is_diagonal_mass(name):
     op = assemble_operator(mesh, problem.poisson_params, bc)
     cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
     b = assemble_load(op, cs, LoadSpec(problem.charges), t=0.0)
-    quad = mesh.quadrature(op.rule)
+    quad = mesh.quadrature
     ref = quad.load(quad.values(sum(q * c for q, c in zip(problem.charges, cs))))
     assert np.abs(b - ref.ravel()).max() <= 1e-15 * np.abs(ref).max()

@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
-from pnpdg.basis import basis_for
+from pnpdg.basis import RULE, basis_for
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
-from pnpdg.field import Field, FluxParams, project_l2, weighted_cell_average, zero_field
+from pnpdg.field import Field, FluxParams, project_l2, weighted_cell_average
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 from oracles import (choose_gamma, decomposition_weights, eval_field, face_trace,
-                     weight_from_values)
+                     weight_from_values, zero_field)
 from oracles import test_interval as admissible_interval
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
 from pnpdg.positivity import test_set_values as values_on_test_set
 from pnpdg.quadrature import gauss_rule
 
-RULE = gauss_rule(4)
 PP = FluxParams(1.0, 1 / 6)
 
 
 def unit_weight(mesh):
-    return build_weight(zero_field(mesh), 1.0, RULE)
+    return build_weight(zero_field(mesh), 1.0)
 
 
 def random_psi(mesh, rng, scale=0.5):
@@ -36,14 +35,14 @@ def test_weight_of_zero_potential_is_one():
 def test_weight_constant_potential():
     m = build_mesh_1d(0, 1, 3)
     psi = project_l2(lambda x: np.log(2.0) + 0 * x, m)
-    w = build_weight(psi, 1.0, RULE)
+    w = build_weight(psi, 1.0)
     assert np.max(np.abs(w.vol - 0.5)) < 1e-14
 
 
 def test_weight_trace_value():
     m = build_mesh_1d(0, 1, 2)
     psi = project_l2(lambda x: x, m)
-    w = build_weight(psi, -1.0, RULE)
+    w = build_weight(psi, -1.0)
     assert abs(w.faces[0][-1, 0] - np.e) < 1e-13   # the right boundary face
 
 
@@ -55,19 +54,20 @@ def test_face_weights_match_pointwise_traces(dim, rng):
     mesh = build_mesh_1d(0, 1, 5) if dim == 1 else build_mesh_2d(1.0, 0.6, 4, 3)
     q = np.array([1.0, -2.0])
     psi = random_psi(mesh, rng, scale=0.3)
-    w = build_weight(psi, q, RULE)
+    w = build_weight(psi, q)
     # face grid index -> oracle face key, per direction
     if dim == 1:
         keys = [{(i,): i for i in range(mesh.n_cells + 1)}]
     else:
-        keys = [{(row, i): ("x", i, row) for row in range(mesh.ny) for i in range(mesh.nx + 1)},
-                {(i, col): ("y", i, col) for i in range(mesh.ny + 1) for col in range(mesh.nx)}]
+        nx, ny = mesh.shape
+        keys = [{(row, i): ("x", i, row) for row in range(ny) for i in range(nx + 1)},
+                {(i, col): ("y", i, col) for i in range(ny + 1) for col in range(nx)}]
     assert len(w.faces) == dim
     for f, faces in zip(w.faces, keys):
         assert f.shape[0] == 2 and f.shape[-1] == RULE.n ** (dim - 1)
         assert len(faces) == np.prod(f.shape[1:-1])
         for idx, face in faces.items():
-            tr = face_trace(psi, face, RULE)
+            tr = face_trace(psi, face)
             sides = [v for v in (tr.w_minus, tr.w_plus) if v is not None]
             for s, qs in enumerate(q):
                 ref = sum(np.exp(-qs * np.asarray(v)) for v in sides) / len(sides)
@@ -78,7 +78,7 @@ def test_overflow_guard():
     m = build_mesh_1d(0, 1, 2)
     psi = project_l2(lambda x: 1000.0 + 0 * x, m)
     with pytest.raises(OverflowGuardError):
-        build_weight(psi, 1.0, RULE)
+        build_weight(psi, 1.0)
 
 
 def test_weighted_projection_identity_and_scaling(rng):
@@ -87,7 +87,7 @@ def test_weighted_projection_identity_and_scaling(rng):
     g = weighted_projection(c, unit_weight(m))
     assert np.max(np.abs(g.coeffs - c.coeffs)) < 1e-13
     psi = project_l2(lambda x: np.log(2.0) + 0 * x, m)
-    g = weighted_projection(c, build_weight(psi, 1.0, RULE))   # M = 1/2... M = exp(-ln2) = 0.5
+    g = weighted_projection(c, build_weight(psi, 1.0))   # M = 1/2... M = exp(-ln2) = 0.5
     assert np.max(np.abs(g.coeffs - 2.0 * c.coeffs)) < 1e-12
 
 
@@ -96,10 +96,10 @@ def test_weighted_projection_residual():
     m = build_mesh_1d(0, 1, 2)
     c = project_l2(lambda x: 1 + x, m)
     psi = project_l2(lambda x: x, m)
-    w = build_weight(psi, 1.0, RULE)
+    w = build_weight(psi, 1.0)
     g = weighted_projection(c, w)
     from pnpdg.basis import tables_for
-    t = tables_for(m, RULE)
+    t = tables_for(m)
     gm = (g.coeffs @ t.vol.T) * w.vol
     res = np.einsum("q,nq,qm->nm", RULE.weights, gm, t.vol) - c.coeffs * c.basis.gram
     assert np.max(np.abs(res)) < 1e-12
@@ -118,10 +118,10 @@ def test_weighted_projection_residual_high_contrast(dim, rng):
     # int(g M r) = int(c r) is measured against the size of its terms,
     # sum_l |W_rl| |g_l|, which bounds the error of a backward-stable solve
     mesh = build_mesh_1d(0, 1, 9) if dim == 1 else build_mesh_2d(1.0, 0.6, 5, 3)
-    quad = mesh.quadrature(RULE)
+    quad = mesh.quadrature
     vals, wq = quad.tables.vol_flat, quad.tables.w_flat
     for _ in range(40):
-        w = build_weight(contrast_psi(mesh, rng), rng.choice([-1.0, 1.0]), RULE)
+        w = build_weight(contrast_psi(mesh, rng), rng.choice([-1.0, 1.0]))
         c = Field(mesh, rng.normal(size=(mesh.n_cells, vals.shape[1])))
         g = weighted_projection(c, w)
         mw = w.vol.reshape(mesh.n_cells, -1) * wq
@@ -135,7 +135,7 @@ def test_weighted_projection_rejects_nonpositive_weight(dim):
     # a negative node value of M makes the weighted Gram indefinite, so the
     # elimination meets a nonpositive pivot
     mesh = build_mesh_1d(0, 1, 3) if dim == 1 else build_mesh_2d(1.0, 1.0, 2, 2)
-    w = weight_from_values(mesh, RULE, np.ones((mesh.n_cells, RULE.n ** dim)))
+    w = weight_from_values(mesh, np.ones((mesh.n_cells, RULE.n ** dim)))
     w.vol[1, 0] = -1.0e3   # one node of cell 1
     c = Field(mesh, np.ones((mesh.n_cells, basis_for(mesh).nb)))
     with pytest.raises(NumericalFatalError, match="pivot"):
@@ -151,7 +151,7 @@ def test_interval_unit_weight():
 
 def test_interval_scale_invariant():
     m = build_mesh_1d(0, 1, 3)
-    w7 = weight_from_values(m, RULE, 7.0 * np.ones((3, RULE.n)))
+    w7 = weight_from_values(m, 7.0 * np.ones((3, RULE.n)))
     a, b = admissible_interval(w7, 0)
     assert abs(a + 1 / 3) < 1e-14 and abs(b - 1 / 3) < 1e-14
 
@@ -159,8 +159,8 @@ def test_interval_scale_invariant():
 def test_interval_exponential_oracle():
     # one cell mapped to [-1, 1]; oracle moments from a 10-point rule
     m = build_mesh_1d(-3, 1, 2)
-    xq = m.quad_points(RULE)
-    w = weight_from_values(m, RULE, np.exp(-(xq - m.centers[:, None]) / (m.h / 2)))
+    xq = m.quadrature.points[0]
+    w = weight_from_values(m, np.exp(-(xq - m.axes[0][:, None]) / (m.spacing[0] / 2)))
     a, b = admissible_interval(w, 1)
     fine = gauss_rule(10)
     mom = [0.5 * np.sum(fine.weights * fine.nodes**k * np.exp(-fine.nodes)) for k in range(3)]
@@ -194,8 +194,8 @@ def test_decomposition_weights_unit():
 def test_decomposition_identity_randomized(rng):
     # asymmetric weight: identity against the weighted quadrature for quadratics
     m = build_mesh_1d(-3, 1, 2)
-    xq = m.quad_points(RULE)
-    w = weight_from_values(m, RULE, np.exp(-(xq - m.centers[:, None]) / (m.h / 2)))
+    xq = m.quadrature.points[0]
+    w = weight_from_values(m, np.exp(-(xq - m.axes[0][:, None]) / (m.spacing[0] / 2)))
     ts = build_test_set(w, FluxParams(1.0, 1 / 6))
     for _ in range(50):
         p = rng.normal(size=3)
@@ -211,7 +211,7 @@ def test_decomposition_identity_randomized(rng):
 def test_test_set_randomized_properties(rng):
     m = build_mesh_1d(0, 1, 8)
     for _ in range(25):
-        w = build_weight(random_psi(m, rng), 1.0, RULE)
+        w = build_weight(random_psi(m, rng), 1.0)
         ts = build_test_set(w, FluxParams(1.0, 1 / 6))
         assert np.all(-1 < ts.lo) and np.all(ts.lo < ts.hi) and np.all(ts.hi < 1)
         assert np.all(ts.line_weights > 0)
@@ -220,7 +220,7 @@ def test_test_set_randomized_properties(rng):
 
 def test_test_set_2d_lines(rng):
     m = build_mesh_2d(1, 1, 3, 2)
-    w = build_weight(random_psi(m, rng, scale=0.2), -1.0, RULE)
+    w = build_weight(random_psi(m, rng, scale=0.2), -1.0)
     ts = build_test_set(w, FluxParams(1.0, 1 / 6))
     assert ts.gammas.shape == (6, 2 * RULE.n)   # x lines, then y lines
     assert np.all(ts.line_weights > 0)
@@ -236,7 +236,7 @@ def test_test_set_values_match_pointwise_oracle(dim, rng):
     # each at xi_d = -1, gamma and +1, with the line's cross node fixed
     mesh = build_mesh_1d(0, 1, 5) if dim == 1 else build_mesh_2d(1.0, 0.6, 4, 3)
     nb, nq = basis_for(mesh).nb, RULE.n
-    w = build_weight(random_psi(mesh, rng, scale=0.2), np.array([1.0, -1.0]), RULE)
+    w = build_weight(random_psi(mesh, rng, scale=0.2), np.array([1.0, -1.0]))
     ts = build_test_set(w, PP)
     g = Field(mesh, rng.normal(size=(2, mesh.n_cells, nb)))
     vals = values_on_test_set(g, ts)
@@ -287,7 +287,7 @@ def test_limiter_invariants_randomized(dim, rng):
         m = build_mesh_2d(1, 1, 3, 3)
     nb = 3 if dim == 1 else 6
     for _ in range(20):
-        w = build_weight(random_psi(m, rng, scale=0.3), 1.0, RULE)
+        w = build_weight(random_psi(m, rng, scale=0.3), 1.0)
         coeffs = rng.normal(size=(m.n_cells, nb))
         coeffs[:, 0] = np.abs(coeffs[:, 0]) + 0.8   # positive weighted averages
         g = Field(m, coeffs)
@@ -341,9 +341,9 @@ def test_cfl_scale_invariance(rng):
     psi2 = Field(m, psi.coeffs.copy())
     psi2.coeffs[:, 0] += np.log(2.0)
     p = FluxParams(2.0, 1 / 6)
-    w1 = build_weight(psi, 1.0, RULE)
+    w1 = build_weight(psi, 1.0)
     r1 = cfl_mu0(w1, build_test_set(w1, p), p)
-    w2 = build_weight(psi2, 1.0, RULE)
+    w2 = build_weight(psi2, 1.0)
     r2 = cfl_mu0(w2, build_test_set(w2, p), p)
     assert abs(r1.mu0 - r2.mu0) < 1e-12 * abs(r1.mu0)
 
@@ -359,7 +359,7 @@ def test_cfl_invalid_outside_range():
 
 def test_cfl_2d_directional_minimum(rng):
     m = build_mesh_2d(1, 2, 3, 3)   # dy != dx
-    w = build_weight(random_psi(m, rng, scale=0.1), 1.0, RULE)
+    w = build_weight(random_psi(m, rng, scale=0.1), 1.0)
     p = FluxParams(1.0, 1 / 6)
     ts = build_test_set(w, p)
     rep = cfl_mu0(w, ts, p)
