@@ -16,10 +16,9 @@ dimensions.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-
-from .quadrature import gauss_rule
 
 K = 2  # fixed polynomial degree
 
@@ -53,8 +52,6 @@ PAIRS_2D = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 class Basis:
     """Tensor products of Legendre polynomials, one degree tuple per function."""
-
-    degree = K
 
     def __init__(self, pairs):
         self.pairs = pairs
@@ -90,8 +87,16 @@ def basis_for(mesh):
 
 
 # the scheme's Gauss rule: every weighted integral uses it, so the weighted
-# average equals the test-set decomposition and the limiter keeps it exactly
-RULE = gauss_rule(4)
+# average equals the test-set decomposition and the limiter keeps it exactly.
+# It is the 4-point Gauss-Legendre rule on [-1, 1], written out: nodes
+# -/+sqrt(3/7 +/- (2/7) sqrt(6/5)) in increasing order and weights
+# (18 -/+ sqrt(30))/36, these as literal doubles (the closed form rounds the
+# outer weight 2 ulp away from the one every stored output was computed with)
+_X = [math.sqrt(3 / 7 + s * math.sqrt(6 / 5)) for s in (2 / 7, -2 / 7)]
+_W = [float.fromhex("0x1.64340f7e7b669p-2"), float.fromhex("0x1.4de5f840c24cap-1")]
+RULE = SimpleNamespace(n=4, nodes=np.array([-_X[0], -_X[1], _X[1], _X[0]]),
+                       weights=np.array(_W + _W[::-1]))
+RULE.nodes.flags.writeable = RULE.weights.flags.writeable = False
 
 
 def _node_grid(k):

@@ -12,7 +12,7 @@ from .driver import SimConfig, check_time_settings
 from .exceptions import ConfigError
 from .field import FluxParams
 
-# section -> key -> (attribute, parser)
+
 def _bool(s):
     if s.lower() in ("true", "1", "yes", "on"):
         return True
@@ -28,6 +28,7 @@ def _sizes(s):
     return out
 
 
+# section -> key -> (attribute, parser)
 _SCHEMA = {
     "benchmark": {
         "id": ("benchmark", str),

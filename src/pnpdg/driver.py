@@ -12,6 +12,7 @@ trajectories.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,9 @@ CFL_MODES = ("monitor", "strict", "adaptive")
 def check_time_settings(T, dt, mu, rk, cfl_mode, cadence):
     """Rejects time settings that could hang a run, end it silently or run a
     scheme other than the one asked for. T, dt and mu, each unless None,
-    must be finite with T >= 0, dt > 0 and mu > 0; rk must be 1 or 2,
-    cfl_mode one of CFL_MODES and cadence >= 1."""
+    must be finite with T >= 0, dt > 0 and mu > 0; rk and cadence must be
+    integers, not bools, with rk 1 or 2 and cadence >= 1; cfl_mode must be
+    one of CFL_MODES."""
     for name, value in (("t_final", T), ("dt", dt), ("mu", mu)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
@@ -44,6 +46,9 @@ def check_time_settings(T, dt, mu, rk, cfl_mode, cadence):
     for name, value in (("dt", dt), ("mu", mu)):
         if value is not None and value <= 0:
             raise ConfigError(f"{name} must be > 0, got {value}")
+    for name, value in (("rk", rk), ("cadence", cadence)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if rk not in (1, 2):
         raise ConfigError(f"rk must be 1 or 2, got {rk}")
     if cfl_mode not in CFL_MODES:
@@ -130,26 +135,22 @@ class RunResult:
     errors: dict
 
 
+@dataclass(slots=True)
 class _StagePrep:
     """dt-independent part of one explicit stage at a fixed time.
 
-    `weight`, `g` and `testset` carry a leading species axis."""
+    `weight`, `g` and `testset` carry a leading species axis. `mu0` is NaN
+    outside the positivity range, where no CFL check applies."""
 
-    __slots__ = ("t", "psi", "weight", "g", "testset", "mu0", "cfl_valid",
-                 "n_limited", "min_g_pre", "min_g_post")
-
-    def __init__(self, t, psi, weight, g, testset, mu0, cfl_valid,
-                 n_limited, min_g_pre, min_g_post):
-        self.t = t
-        self.psi = psi
-        self.weight = weight
-        self.g = g
-        self.testset = testset
-        self.mu0 = mu0
-        self.cfl_valid = cfl_valid
-        self.n_limited = n_limited
-        self.min_g_pre = min_g_pre
-        self.min_g_post = min_g_post
+    t: float
+    psi: Field
+    weight: object
+    g: Field
+    testset: object
+    mu0: float
+    n_limited: int
+    min_g_pre: list
+    min_g_post: list
 
 
 class State:
@@ -238,13 +239,8 @@ def _prepare_stage(state, c, t, need_cfl=True):
     else:
         n_limited = 0
         min_pre = min_post = test_set_values(g, ts).min(axis=(-2, -1)).tolist()
-    if not cap:
-        mu0 = float("nan")
-    elif need_cfl:
-        mu0 = cfl_mu0(w, ts, pb.np_params).mu0
-    else:
-        mu0 = np.inf
-    return _StagePrep(t, psi, w, g, ts, mu0, cap, n_limited, min_pre, min_post)
+    mu0 = cfl_mu0(w, ts, pb.np_params) if need_cfl else np.inf
+    return _StagePrep(t, psi, w, g, ts, mu0, n_limited, min_pre, min_post)
 
 
 def _advance(state, c, prep, dt):
@@ -257,7 +253,7 @@ def _advance(state, c, prep, dt):
 
 def _check_cfl(state, prep, dt):
     """Returns the (possibly reduced) step size per the configured CFL mode."""
-    if not prep.cfl_valid:
+    if math.isnan(prep.mu0):
         return dt
     mu = sum(dt / h ** 2 for h in state.mesh.spacing)
     if mu <= prep.mu0:

@@ -63,14 +63,13 @@ def eval_at_points(field, *x):
     return np.einsum("...m,...m->...", field.coeffs[cells], field.basis.vals(*xi))
 
 
-def weighted_cell_average(field, weight, cell=None):
+def weighted_cell_average(field, weight):
     """M-weighted mean per cell: int(M w) / int(M), by the shared quadrature.
 
     `weight` is a WeightField on the same mesh; its volume values define
     the quadrature and int(M) comes from its zeroth line moments. A
     constant weight reduces to the plain average. Leading axes of the field
-    and the weight broadcast: the result has shape (..., n_cells), or (...)
-    for one `cell`.
+    and the weight broadcast: the result has shape (..., n_cells).
     """
     mesh = field.mesh
     quad = mesh.quadrature
@@ -80,10 +79,7 @@ def weighted_cell_average(field, weight, cell=None):
     den = weight.lines[..., :len(across), 0] @ across
     if np.any(den <= 0):
         raise ValueError("nonpositive weight integral in weighted_cell_average")
-    out = num / den
-    if cell is None:
-        return out
-    return out[..., cell]
+    return num / den
 
 
 def l1_error(field, reference, t=None):

@@ -252,21 +252,6 @@ def scaling_limiter(g, weight, testset):
                                   post.min(axis=-1))
 
 
-@dataclass
-class CflReport:
-    """Mesh-ratio bound mu0 = sup {dt/h^2 : positivity guaranteed}.
-
-    `valid` is False when the flux parameters sit outside the proven range,
-    in which case mu0 is NaN and no guarantee is claimed. `mu0_x` and
-    `mu0_y` are the bounds of the x and the y lines (`mu0_y` only in 2D).
-    """
-
-    mu0: float
-    valid: bool
-    mu0_x: float = None
-    mu0_y: float = None
-
-
 def _alpha1(gamma, beta1):
     return (8.0 * beta1 - 1.0 + gamma) / (2.0 * (1.0 + gamma))
 
@@ -289,10 +274,12 @@ def _mu0_terms(w1, w3, m0, m2, g, m_lo, m_hi, params):
 
 
 def cfl_mu0(weight, testset, params):
-    """Largest guaranteed-positive mesh ratio, the minimum over every leading
-    index of the weight field (every species of a stage)."""
+    """Mesh-ratio bound mu0 = sup {dt/h^2 : positivity guaranteed}, the
+    minimum over every quadrature line and every leading index of the weight
+    field (every species of a stage). NaN when the flux parameters sit
+    outside the proven range: no guarantee is claimed there."""
     if not params.in_positivity_range():
-        return CflReport(float("nan"), False)
+        return float("nan")
     mesh = weight.mesh
     # {M} on the low and the high face of every line, written per direction
     # through a (..., *grid, dim, lines per direction) view
@@ -302,7 +289,5 @@ def cfl_mu0(weight, testset, params):
         lo.reshape(grid)[..., d, :] = mf[ft.minus]
         hi.reshape(grid)[..., d, :] = mf[ft.plus]
     m, w = weight.lines, testset.line_weights
-    terms = _mu0_terms(w[..., 0], w[..., 2], m[..., 0], m[..., 2], testset.gammas, lo, hi,
-                       params).reshape(lo.shape[:-1] + (mesh.dim, -1))
-    per_dir = [float(terms[..., d, :].min()) for d in range(mesh.dim)]
-    return CflReport(min(per_dir), True, *per_dir)
+    return float(_mu0_terms(w[..., 0], w[..., 2], m[..., 0], m[..., 2], testset.gammas,
+                             lo, hi, params).min())

@@ -317,7 +317,7 @@ def _positivity_stress(rng, n_trials, dim):
         c = Field(mesh, coeffs)
         g = weighted_projection(c, w)
         g, _rep = scaling_limiter(g, w, ts)
-        mu0 = cfl_mu0(w, ts, params).mu0
+        mu0 = cfl_mu0(w, ts, params)
         if dim == 1:
             dt = 0.9 * mu0 * mesh.spacing[0]**2
         else:
@@ -334,7 +334,7 @@ def test_criterion_08_cfl_worked_value_and_stress():
     w = build_weight(zero_field(build_mesh_1d(0, 1, 4)), 1.0)
     params = FluxParams(1.0, 1 / 6)
     ts = build_test_set(w, params)
-    mu0 = cfl_mu0(w, ts, params).mu0
+    mu0 = cfl_mu0(w, ts, params)
     ok_value = abs(mu0 - 0.5) < 1e-13
     rng = np.random.default_rng(8)
     failures = _positivity_stress(rng, 350, dim=1) + _positivity_stress(rng, 150, dim=2)

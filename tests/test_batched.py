@@ -84,12 +84,12 @@ def test_batched_kernels_match_single_species_bitwise(dim, rng):
         assert repb.min_pre[i] == rep.min_pre
         assert repb.min_post[i] == rep.min_post
         n_limited += rep.n_limited
-        mu0 = min(mu0, cfl_mu0(w, ts, P).mu0)
+        mu0 = min(mu0, cfl_mu0(w, ts, P))
         rhs = np_rhs(lim, w, P, source=sources[i], t=0.3)
         assert np.array_equal(rhsb[i], rhs)
         assert np.array_equal(incb[i], apply_mass_inverse(mesh, basis, rhs))
     assert repb.n_limited == n_limited
-    assert mub.mu0 == mu0
+    assert mub == mu0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,22 @@ def test_strict_cfl_raises():
         pnp_step(state, 1.0)   # mesh ratio far above the bound
 
 
+@pytest.mark.parametrize("mode", ["monitor", "strict", "adaptive"])
+def test_no_cfl_check_outside_the_positivity_range(mode, caplog):
+    # beta1 = 1/24 has no proven bound: mu0 is NaN, so a mesh ratio far above
+    # any in-range bound neither raises, shrinks the (Euler) step nor warns
+    problem, _ = build_benchmark("example2", 8)
+    problem.np_params = problem.np_params.__class__(4.0, 1 / 24)
+    state = init(problem, SimConfig(T=1.0, rk=1, cfl_mode=mode, override_admissibility=True))
+    assert np.isnan(state.prepared_stage().mu0)
+    dt = 10.0 * state.mesh.spacing[0] ** 2
+    with caplog.at_level(logging.INFO, logger="pnpdg"):
+        pnp_step(state, dt)
+    assert state.t == dt
+    assert not any("mesh ratio" in r.message or "adaptive CFL" in r.message
+                   for r in caplog.records)
+
+
 def test_adaptive_cfl_reduces_step():
     problem, _ = build_benchmark("example2", 8)
     state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
@@ -149,11 +167,21 @@ def test_sim_config_rejects_bad_time_settings(kwargs):
     (dict(rk=3), "rk must be 1 or 2"),
     (dict(cfl_mode="strictt"), "cfl must be one of"),
     (dict(cadence=0), "cadence must be >= 1"),
-], ids=["rk", "cfl_mode", "cadence"])
+    (dict(cadence=1.5), "cadence must be an integer"),
+    (dict(cadence=True), "cadence must be an integer"),
+    (dict(rk=True), "rk must be an integer"),
+    (dict(rk=2.0), "rk must be an integer"),
+], ids=["rk", "cfl_mode", "cadence", "cadence-1.5", "cadence-True", "rk-True", "rk-2.0"])
 def test_sim_config_rejects_bad_scheme_settings(kwargs, match):
     # none of these may fall back to another scheme or fail inside the run
     with pytest.raises(ConfigError, match=match):
         SimConfig(T=0.1, **kwargs)
+
+
+def test_sim_config_accepts_numpy_integers():
+    problem, _ = build_benchmark("example2", 6)
+    res = run(problem, SimConfig(T=4e-3, dt=1e-3, rk=np.int64(1), cadence=np.int32(2)))
+    assert [r.t for r in res.diagnostics] == pytest.approx([0.0, 2e-3, 4e-3])
 
 
 @pytest.mark.parametrize("shrink,ok", [(1.0, True), (0.99, False)])

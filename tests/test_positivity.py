@@ -11,7 +11,6 @@ from oracles import test_interval as admissible_interval
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
 from pnpdg.positivity import test_set_values as values_on_test_set
-from pnpdg.quadrature import gauss_rule
 
 PP = FluxParams(1.0, 1 / 6)
 
@@ -162,8 +161,8 @@ def test_interval_exponential_oracle():
     xq = m.quadrature.points[0]
     w = weight_from_values(m, np.exp(-(xq - m.axes[0][:, None]) / (m.spacing[0] / 2)))
     a, b = admissible_interval(w, 1)
-    fine = gauss_rule(10)
-    mom = [0.5 * np.sum(fine.weights * fine.nodes**k * np.exp(-fine.nodes)) for k in range(3)]
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    mom = [0.5 * np.sum(weights * nodes**k * np.exp(-nodes)) for k in range(3)]
     a_ref = (mom[1] - mom[2]) / (mom[0] - mom[1])
     b_ref = (mom[1] + mom[2]) / (mom[0] + mom[1])
     # production moments come from the shared 4-point rule; ~1e-5 gap expected
@@ -318,9 +317,9 @@ def test_cfl_worked_value():
     m = build_mesh_1d(0, 1, 4)
     w = unit_weight(m)
     ts = build_test_set(w, PP)
-    rep = cfl_mu0(w, ts, PP)
-    assert rep.valid
-    assert abs(rep.mu0 - 0.5) < 1e-13
+    mu0 = cfl_mu0(w, ts, PP)
+    assert isinstance(mu0, float)
+    assert abs(mu0 - 0.5) < 1e-13
 
 
 def test_cfl_beta1_quarter_degenerate():
@@ -329,8 +328,8 @@ def test_cfl_beta1_quarter_degenerate():
     w = unit_weight(m)
     p = FluxParams(1.0, 0.25)
     ts = build_test_set(w, p)
-    rep = cfl_mu0(w, ts, p)
-    assert np.isfinite(rep.mu0) and rep.mu0 > 0
+    mu0 = cfl_mu0(w, ts, p)
+    assert np.isfinite(mu0) and mu0 > 0
 
 
 def test_cfl_scale_invariance(rng):
@@ -345,7 +344,7 @@ def test_cfl_scale_invariance(rng):
     r1 = cfl_mu0(w1, build_test_set(w1, p), p)
     w2 = build_weight(psi2, 1.0)
     r2 = cfl_mu0(w2, build_test_set(w2, p), p)
-    assert abs(r1.mu0 - r2.mu0) < 1e-12 * abs(r1.mu0)
+    assert abs(r1 - r2) < 1e-12 * abs(r1)
 
 
 def test_cfl_invalid_outside_range():
@@ -353,16 +352,24 @@ def test_cfl_invalid_outside_range():
     w = unit_weight(m)
     p = FluxParams(1.0, 1 / 24)
     ts = build_test_set(w, p, cap=False)
-    rep = cfl_mu0(w, ts, p)
-    assert not rep.valid and np.isnan(rep.mu0)
+    assert np.isnan(cfl_mu0(w, ts, p))
 
 
 def test_cfl_2d_directional_minimum(rng):
-    m = build_mesh_2d(1, 2, 3, 3)   # dy != dx
-    w = build_weight(random_psi(m, rng, scale=0.1), 1.0)
+    # mu0 is the minimum over the x and the y lines; swapping the axes of a
+    # dx != dy mesh and transposing psi swaps the two line sets, so the bound
+    # stays put only if both directions enter it
+    m = build_mesh_2d(1, 2, 3, 4)
+    mt = build_mesh_2d(2, 1, 4, 3)
+    psi = random_psi(m, rng, scale=0.3)
+    # cell (row l, column j) of m is (j, l) of mt; the basis swaps its
+    # x and y degrees, (0,0) (1,0) (0,1) (2,0) (1,1) (0,2) -> 0 2 1 5 4 3
+    coeffs = psi.coeffs.reshape(m.grid + (6,)).transpose(1, 0, 2).reshape(-1, 6)
+    psi_t = Field(mt, coeffs[:, [0, 2, 1, 5, 4, 3]])
     p = FluxParams(1.0, 1 / 6)
-    ts = build_test_set(w, p)
-    rep = cfl_mu0(w, ts, p)
-    assert rep.valid
-    assert rep.mu0 == min(rep.mu0_x, rep.mu0_y)
-    assert rep.mu0 > 0
+    mu0 = []
+    for field in (psi, psi_t):
+        w = build_weight(field, 1.0)
+        mu0.append(cfl_mu0(w, build_test_set(w, p), p))
+    assert mu0[0] > 0
+    assert abs(mu0[1] - mu0[0]) <= 1e-14 * mu0[0]
