@@ -139,14 +139,13 @@ class RunResult:
 class _StagePrep:
     """dt-independent part of one explicit stage at a fixed time.
 
-    `weight`, `g` and `testset` carry a leading species axis. `mu0` is NaN
+    `weight` and `g` carry a leading species axis. `mu0` is NaN
     outside the positivity range, where no CFL check applies."""
 
     t: float
     psi: Field
     weight: object
     g: Field
-    testset: object
     mu0: float
     n_limited: int
     min_g_pre: list
@@ -228,10 +227,9 @@ def _prepare_stage(state, c, t, need_cfl=True):
     pb = state.problem
     load = assemble_load(state.operator, c.coeffs, pb.load_spec(), t)
     psi = state.operator.solve(load)
-    cap = pb.np_params.in_positivity_range()
     w = build_weight(psi, np.array(pb.charges, dtype=float))
     g = weighted_projection(c, w)
-    ts = build_test_set(w, pb.np_params, cap=cap)
+    ts = build_test_set(w, pb.np_params)
     if state.config.limiter:
         g, rep = scaling_limiter(g, w, ts)
         n_limited = rep.n_limited
@@ -240,7 +238,7 @@ def _prepare_stage(state, c, t, need_cfl=True):
         n_limited = 0
         min_pre = min_post = test_set_values(g, ts).min(axis=(-2, -1)).tolist()
     mu0 = cfl_mu0(w, ts, pb.np_params) if need_cfl else np.inf
-    return _StagePrep(t, psi, w, g, ts, mu0, n_limited, min_pre, min_post)
+    return _StagePrep(t, psi, w, g, mu0, n_limited, min_pre, min_post)
 
 
 def _advance(state, c, prep, dt):

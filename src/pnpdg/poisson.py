@@ -7,19 +7,21 @@ The bilinear form uses the diffusive-flux jump pairing on interior faces,
 which is symmetric: it is beta0/h_e [u][v] + F0(u)[v] + F0(v)[u] with F0
 the transport's DDG flux less its penalty, so the interior blocks come from
 the same kernel, `FaceTables.flux`, applied to the basis functions. Its
-quadratic form has the same penalty structure as the
-one-sided flux pairing, so coercivity holds for beta0 above the usual
-threshold gamma_d. Dirichlet faces carry penalty/consistency terms
+quadratic form has the same penalty structure as the one-sided flux
+pairing, so coercivity holds for beta0 above the usual threshold gamma_d.
+Dirichlet faces carry penalty/consistency terms
 
     bb/h_e u v - dn(u) v - u dn(v),    bb = max(beta0, 2*gamma_d(k, 0)),
 
 with the floor applied because the plain boundary penalty is exactly
 critical at beta0 = k^2 (the assembled matrix becomes singular there).
-Neumann faces contribute only load terms. The sparse matrix is constant in
-time; it is factorized once and the factorization reused for every load.
-The matrix is symmetric, so SuperLU orders it by minimum degree on A + A^T
-in symmetric mode; threshold pivoting is kept, because the zero-mean-gauge
-bordered matrix has a zero diagonal entry.
+Neumann faces contribute only load terms. The matrix is assembled once,
+as CSC, and is symmetric bit for bit, with the zero-mean-gauge border or
+without: every dense block is a sum of Q + Q^T terms and no two blocks
+share an entry. It is factorized as assembled (minimum degree on A + A^T
+in symmetric mode; threshold pivoting stays for the bordered matrix's zero
+diagonal entry) and the factorization is reused for every load. The load
+row of every boundary side is precomputed with the matrix.
 
 The load is int((sum_i q_i c_i + rho0 + f) v) plus the boundary terms. The
 density part is the diagonal P2 mass matrix times the charge coefficients
@@ -100,40 +102,34 @@ class LoadSpec:
 
 
 class PoissonOperator:
-    def __init__(self, mesh, params, bc, matrix, boundary_penalty):
+    """The DDG matrix, factorized once, and the load row of every boundary side.
+
+    `matrix` is the CSC matrix of the form; `system`, the matrix SuperLU
+    factors, is `matrix` bordered by the cell-volume row and column under the
+    zero-mean gauge and `matrix` itself otherwise. `boundary_rows` holds, per
+    side, its data, cells, face weights, face-node coordinates and trace row:
+    (bb/h) v - dn(v) on a Dirichlet side and v on a Neumann side.
+    """
+
+    def __init__(self, mesh, matrix, boundary_rows, gauge):
         self.mesh = mesh
-        self.params = params
-        self.bc = bc
-        self.matrix = matrix
-        self.boundary_penalty = boundary_penalty
-        self.gauge = bc.zero_mean_gauge and not bc.dirichlet_sides()
-        self.ndof = matrix.shape[0]
-        self.nb = basis_for(mesh).nb
-        if self.gauge:
-            m = np.zeros(self.ndof)
-            m[::self.nb] = mesh.cell_volume
-            matrix = sps.bmat([[matrix, m[:, None]], [m[None, :], None]])
-        self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        self.matrix = self.system = matrix
+        self.boundary_rows = boundary_rows
+        self.gauge = gauge
+        if gauge:
+            m = np.zeros(matrix.shape[0])
+            m[::basis_for(mesh).nb] = mesh.cell_volume
+            self.system = sps.bmat([[matrix, m[:, None]], [m[None, :], None]], format="csc")
+        self._lu = spla.splu(self.system, permc_spec="MMD_AT_PLUS_A",
                              options=dict(SymmetricMode=True))
 
     def solve(self, load):
         """Solve for the potential field; the cached factorization is reused."""
-        if self.gauge:
-            rhs = np.concatenate([load, [0.0]])
-            sol = self._lu.solve(rhs)[:-1]
-        else:
-            sol = self._lu.solve(load)
+        rhs = np.concatenate([load, [0.0]]) if self.gauge else load
+        sol = self._lu.solve(rhs)[:len(load)]
         if not np.all(np.isfinite(sol)):
             raise NumericalFatalError("Poisson solve produced non-finite values")
-        return Field(self.mesh, sol.reshape(self.mesh.n_cells, self.nb))
-
-
-def _sides(quad, d):
-    """Both boundary sides of direction d: name, one-sided trace and normal
-    derivative tables, outward normal sign and the boundary cells."""
-    ft = quad.tables.faces[d]
-    lo, hi = quad.boundary_cells[d]
-    return ((SIDES[d][0], ft.v_p, ft.d_p, -1.0, lo), (SIDES[d][1], ft.v_m, ft.d_m, 1.0, hi))
+        return Field(self.mesh, sol.reshape(self.mesh.n_cells, -1))
 
 
 def assemble_operator(mesh, params, bc):
@@ -150,73 +146,72 @@ def assemble_operator(mesh, params, bc):
     tb = quad.tables
     nb = basis_for(mesh).nb
     cells = np.arange(mesh.n_cells).reshape(mesh.grid + (1,))
-    every = cells.ravel()
-    svol = sum(k * ((ft.dvol.T * tb.w_flat) @ ft.dvol) for ft, k in zip(tb.faces, quad.stiffness))
-    blocks = [(svol, every, every)]
+    # every dense block is a sum of Q + Q^T terms, so exactly symmetric, and
+    # no two blocks share an entry: A == A^T holds bitwise
+    Q = sum((0.5 * k) * ((ft.dvol.T * tb.w_flat) @ ft.dvol)
+            for ft, k in zip(tb.faces, quad.stiffness))
+    diag = np.broadcast_to(Q + Q.T, (mesh.n_cells, nb, nb)).copy()
+    blocks, pairs, boundary_rows = [diag], [(cells.ravel(), cells.ravel())], []
     for d, (ft, h, fw) in enumerate(zip(tb.faces, mesh.spacing, quad.face_weights)):
-        # interior faces couple the stacked dofs of their (minus, plus) cells
         F = _interior_face_block(ft, h, fw, params, nb)
-        pair = (cells[ft.minus].ravel(), cells[ft.plus].ravel())
-        for i, r in enumerate(pair):
-            for j, col in enumerate(pair):
-                blocks.append((F[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb], r, col))
-        for name, tv, td, sign, side in _sides(quad, d):
-            if bc.sides[name].kind == "dirichlet":
-                blocks.append((_dirichlet_block(tv, td, sign, h, fw, bb), side, side))
-    # tile each dense (nb, nb) block over its cell pairs, block by block in
-    # the order above: the duplicate entries sum in that order
-    mats, row_cells, col_cells = zip(*blocks)
-    vals = np.repeat(np.stack(mats), [len(r) for r in row_cells], axis=0)
+        minus, plus = cells[ft.minus].ravel(), cells[ft.plus].ravel()
+        diag[minus] += F[:nb, :nb]
+        diag[plus] += F[nb:, nb:]
+        # an interior face couples its (minus, plus) cells by a block and its transpose
+        blocks += [np.broadcast_to(F[:nb, nb:], (len(minus), nb, nb)),
+                   np.broadcast_to(F[nb:, :nb], (len(minus), nb, nb))]
+        pairs += [(minus, plus), (plus, minus)]
+        for name, tv, td, sign, side in zip(SIDES[d], (ft.v_p, ft.v_m), (ft.d_p, ft.d_m),
+                                             (-1.0, 1.0), quad.boundary_cells[d]):
+            # Dirichlet: bb/h u v - dn(u) v - u dn(v) in the matrix, the data
+            # times (bb/h) v - dn(v) in the load
+            bcs, row = bc.sides[name], tv
+            if bcs.kind == "dirichlet":
+                dn = sign * (2.0 / h) * td
+                tw = tv.T * fw
+                Q = (0.5 * bb / h) * (tw @ tv) - tw @ dn
+                diag[side] += Q + Q.T
+                row = (bb / h) * tv - dn
+            boundary_rows.append((bcs.data, side, fw, quad.face_points[d], row))
+    vals = np.concatenate(blocks)
+    row_cells, col_cells = (np.concatenate(x) for x in zip(*pairs))
     shift = np.arange(nb)
-    rows = nb * np.concatenate(row_cells)[:, None, None] + shift[:, None]
-    cols = nb * np.concatenate(col_cells)[:, None, None] + shift
-    rows, cols = (np.broadcast_to(x, vals.shape).ravel() for x in (rows, cols))
+    rows = np.broadcast_to(nb * row_cells[:, None, None] + shift[:, None], vals.shape)
+    cols = np.broadcast_to(nb * col_cells[:, None, None] + shift, vals.shape)
     nd = nb * mesh.n_cells
-    A = sps.csr_matrix((vals.ravel(), (rows, cols)), shape=(nd, nd))
-    return PoissonOperator(mesh, params, bc, A, bb)
+    A = sps.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nd, nd))
+    gauge = bc.zero_mean_gauge and not bc.dirichlet_sides()
+    return PoissonOperator(mesh, A, boundary_rows, gauge)
 
 
 def _interior_face_block(ft, h, fw, params, nb):
     """Symmetric interior-face block over the stacked (minus, plus) cell dofs.
 
-    The pairing is beta0/h [u][v] + F0(u)[v] + F0(v)[u], integrated with the
-    face weights fw, where F0 is the DDG flux without its penalty term; the
-    shared kernel gives F0 and the jump of every basis function of the two
-    cells.
+    The pairing beta0/h [u][v] + F0(u)[v] + F0(v)[u], integrated with the
+    face weights fw, where F0 is the DDG flux without its penalty term, is
+    Q + Q^T for Q = beta0/(2h) [u][v] + F0(u)[v]; the shared kernel gives F0
+    and the jump of every basis function of the two cells.
     """
     unit = np.eye(2 * nb).reshape((2 * nb, 2) + (1,) * (-ft.axis - 2) + (nb,))
     gm, gp, flux0 = (a.reshape(2 * nb, -1) for a in ft.flux(unit, h, replace(params, beta0=0.0)))
     jmp = gp - gm
-    P = (flux0 * fw) @ jmp.T
-    return (params.beta0 / h) * ((jmp * fw) @ jmp.T) + (P + P.T)
-
-
-def _dirichlet_block(tv, td, sign, h_e, face_w, bb):
-    dn = sign * (2.0 / h_e) * td
-    def pair(u, v):
-        return np.einsum("s,sm,sl->ml", face_w, u, v)
-    return (bb / h_e) * pair(tv, tv) - pair(tv, dn) - pair(dn, tv)
+    Q = (0.5 * params.beta0 / h) * ((jmp * fw) @ jmp.T) + (flux0 * fw) @ jmp.T
+    return Q + Q.T
 
 
 def assemble_load(op, densities, load, t=0.0):
     """Right-hand-side vector at time t for the stacked density coefficients
     `densities`, (m_species, n_cells, nb), and the boundary data."""
-    mesh = op.mesh
-    quad = mesh.quadrature
-    bb = op.boundary_penalty
-    gram = basis_for(mesh).gram
+    quad = op.mesh.quadrature
+    gram = basis_for(op.mesh).gram
     charge = sum((q * c for q, c in zip(load.charges, densities)),
-                 np.zeros((mesh.n_cells, len(gram))))
+                 np.zeros((op.mesh.n_cells, len(gram))))
     b = (quad.jac * gram) * charge
     if load.rho0 is not None:
         b += quad.load(load.rho0(*quad.points))
     if load.extra_source is not None:
         b += quad.load_source(load.extra_source, t)
-    for d, (h, fw, tangent) in enumerate(zip(mesh.spacing, quad.face_weights, quad.face_points)):
-        for name, tv, td, sign, side in _sides(quad, d):
-            bcs = op.bc.sides[name]
-            if bcs.kind == "dirichlet":
-                tv = (bb / h) * tv - sign * (2.0 / h) * td
-            # data are scalar or (n_side, ns) values at the side's face nodes
-            b[side] += (np.asarray(bcs.data(t, *tangent), dtype=float) * fw) @ tv
+    for data, side, fw, tangent, row in op.boundary_rows:
+        # data are scalar or (n_side, ns) values at the side's face nodes
+        b[side] += (np.asarray(data(t, *tangent), dtype=float) * fw) @ row
     return b.ravel()

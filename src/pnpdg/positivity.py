@@ -142,12 +142,15 @@ class TestSet:
     line_weights: np.ndarray
 
 
-def build_test_set(weight, params, cap=True):
-    """Admissible test set and decomposition weights on every quadrature line."""
+def build_test_set(weight, params):
+    """Admissible test set and decomposition weights on every quadrature line.
+
+    Inside the positivity range the nodes are capped at |gamma| <= 8 beta1 - 1
+    and an empty interval raises; outside it they are the interval midpoints."""
     m = weight.lines
     m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
     a, b = _intervals(m0, m1, m2)
-    g = _select_gammas(a, b, params.beta1, cap)
+    g = _select_gammas(a, b, params.beta1, params.in_positivity_range())
     w = np.stack(_lagrange_weights(m0, m1, m2, g), axis=-1)
     return TestSet(a, b, g, w)
 

@@ -91,8 +91,8 @@ class _Rounded:
         def rounded_operator(*args, **kwargs):
             op = assemble_operator(*args, **kwargs)
             A = op.matrix.copy()
-            A.data = self._round(A.data)
-            return PoissonOperator(op.mesh, op.params, op.bc, A, op.boundary_penalty)
+            A.data = self._round(A.data)   # each stored entry on its own
+            return PoissonOperator(op.mesh, A, op.boundary_rows, op.gauge)
 
         def rounded_load(*args, **kwargs):
             return self._round(assemble_load(*args, **kwargs))

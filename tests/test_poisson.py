@@ -206,6 +206,24 @@ def test_symmetric_ordering_fill():
     assert op._lu.L.nnz + op._lu.U.nnz <= 300_000
 
 
+@pytest.mark.parametrize("case", [("example1", 5), ("example1", 40), ("example2", 10),
+                                  ("example4", 20), ("example3-1", 40), "mixed"])
+def test_matrix_bitwise_symmetric_csc(case):
+    if case == "mixed":
+        # Dirichlet and Neumann sides in both directions on cells with dx != dy
+        bc = PoissonBC({"left": dirichlet(lambda t, s: 0.0), "right": neumann(lambda t, s: 0.0),
+                        "bottom": neumann(lambda t, s: 0.0), "top": dirichlet(lambda t, s: 0.0)})
+        op = assemble_operator(build_mesh_2d(2.0, 0.7, 7, 4), FluxParams(4.0, 1 / 6), bc)
+    else:
+        problem, _ = build_benchmark(*case)
+        op = assemble_operator(problem.mesh, problem.poisson_params, problem.poisson_bc)
+    # Example 2 is pure Neumann: SuperLU factors the gauge-bordered matrix
+    assert op.gauge == (case == ("example2", 10))
+    for A in (op.matrix, op.system):
+        assert A.format == "csc"
+        assert (A != A.T).nnz == 0
+
+
 @pytest.mark.parametrize("n", [5, 10, 20, 80])
 def test_example2_gauge_solve_residual(n):
     problem, _ = build_benchmark("example2", n)

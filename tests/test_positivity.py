@@ -351,7 +351,7 @@ def test_cfl_invalid_outside_range():
     m = build_mesh_1d(0, 1, 4)
     w = unit_weight(m)
     p = FluxParams(1.0, 1 / 24)
-    ts = build_test_set(w, p, cap=False)
+    ts = build_test_set(w, p)
     assert np.isnan(cfl_mu0(w, ts, p))
 
 
