@@ -176,7 +176,9 @@ class FaceTables:
 class Tables:
     """Basis values at the tensor quadrature nodes, flattened to (nq^dim, nb),
     the projection and moment tables, the moment and coefficient tables of
-    every quadrature line, and one FaceTables per direction."""
+    every quadrature line, one FaceTables per direction, `nodes_traces`,
+    the basis values at the volume nodes stacked over the high and the low
+    trace of every direction, and the weights of the cell mean."""
 
     def __init__(self, basis):
         q = RULE.nodes
@@ -199,6 +201,14 @@ class Tables:
         self.faces = tuple(FaceTables(basis, d) for d in range(dim))
         # the line coefficients of every quadrature line, x lines first
         self.line_coeffs = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
+        # rows: the volume nodes, then per direction the xi_d = +1 and the
+        # xi_d = -1 traces; one product evaluates a field at all of them
+        self.nodes_traces = np.concatenate(
+            [self.vol_flat] + [v for f in self.faces for v in (f.v_m, f.v_p)])
+        # weights of the cell mean over the volume nodes, and over the x lines
+        # (one per cross node)
+        self.mean_vol = self.w_flat / 2 ** dim
+        self.mean_x_lines = self.faces[0].weights / 2 ** (dim - 1)
 
 
 def _polish_projection(vals, weights, gram):

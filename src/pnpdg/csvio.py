@@ -18,13 +18,15 @@ def _fmt(v):
 
 
 def write_diagnostics(path, records, species_names=("c1", "c2")):
-    """diagnostics.csv: t, per-species mass, energy, minima, limiter count, mu0."""
+    """diagnostics.csv: t, per-species mass, energy, minima, limiter count,
+    mu0, then the per-species test-set minima after limiting."""
     cols = ["t"]
     cols += [f"mass_{i+1}" for i in range(len(species_names))]
     cols += ["energy"]
     cols += [f"min_avg_{i+1}" for i in range(len(species_names))]
     cols += [f"min_g_{i+1}" for i in range(len(species_names))]
     cols += ["theta_count", "mu0"]
+    cols += [f"min_g_post_{i+1}" for i in range(len(species_names))]
     lines = ["# energy column: diagnostic convention (entropy + half electrostatic), "
              "not a reproduced quantity"]
     lines.append(",".join(cols))
@@ -35,6 +37,7 @@ def write_diagnostics(path, records, species_names=("c1", "c2")):
         row += [_fmt(m) for m in r.min_avgs]
         row += [_fmt(m) for m in r.min_g_pre]
         row += [str(r.n_limited), _fmt(r.mu0)]
+        row += [_fmt(m) for m in r.min_g_post]
         lines.append(",".join(row))
     _write(path, lines)
 

@@ -154,11 +154,17 @@ class _StagePrep:
 
 class State:
     """Time, densities `c` (one (m_species, n_cells, nb) Field) and the
-    factorized Poisson operator of a run."""
+    factorized Poisson operator of a run. The species charges, the Poisson
+    load data and the transport sources every stage reads are taken from
+    the problem once, when the state is made."""
 
     def __init__(self, problem, config):
         self.problem = problem
         self.config = config
+        self.charges = np.array(problem.charges, dtype=float)
+        self.charges.flags.writeable = False
+        self.load_spec = problem.load_spec()
+        self.sources = [sp.source for sp in problem.species]
         self.t = 0.0
         self.operator = None
         self._c = None
@@ -225,9 +231,9 @@ def _prepare_stage(state, c, t, need_cfl=True):
     """Poisson solve, weights, projections, test sets and limiting at time t
     for the stacked densities c."""
     pb = state.problem
-    load = assemble_load(state.operator, c.coeffs, pb.load_spec(), t)
+    load = assemble_load(state.operator, c.coeffs, state.load_spec, t)
     psi = state.operator.solve(load)
-    w = build_weight(psi, np.array(pb.charges, dtype=float))
+    w = build_weight(psi, state.charges)
     g = weighted_projection(c, w)
     ts = build_test_set(w, pb.np_params)
     if state.config.limiter:
@@ -244,41 +250,42 @@ def _prepare_stage(state, c, t, need_cfl=True):
 def _advance(state, c, prep, dt):
     pb = state.problem
     mesh = pb.mesh
-    rhs = np_rhs(prep.g, prep.weight, pb.np_params,
-                 source=[sp.source for sp in pb.species], t=prep.t)
+    rhs = np_rhs(prep.g, prep.weight, pb.np_params, source=state.sources, t=prep.t)
     return Field(mesh, c.coeffs + dt * apply_mass_inverse(mesh, basis_for(mesh), rhs))
 
 
-def _check_cfl(state, prep, dt):
-    """Returns the (possibly reduced) step size per the configured CFL mode."""
+def _check_cfl(state, prep, dt, halvings, stage):
+    """The step size the configured CFL mode allows for one stage, and the
+    step halvings made so far in this step (adaptive mode: at most
+    MAX_HALVINGS over both stages)."""
     if math.isnan(prep.mu0):
-        return dt
+        return dt, halvings
     mu = sum(dt / h ** 2 for h in state.mesh.spacing)
     if mu <= prep.mu0:
-        return dt
+        return dt, halvings
     if state.config.cfl_mode == "strict":
         raise NumericalFatalError(
             f"mesh ratio {mu:.6g} exceeds the positivity bound mu0={prep.mu0:.6g} "
-            f"at t={prep.t:.6g} (strict CFL mode)"
+            f"at stage {stage}, t={prep.t:.6g} (strict CFL mode)"
         )
     if state.config.cfl_mode == "adaptive":
-        for _ in range(MAX_HALVINGS):
+        while mu > prep.mu0:
+            if halvings == MAX_HALVINGS:
+                raise NumericalFatalError(
+                    f"adaptive CFL: mesh ratio still above mu0={prep.mu0:.6g} after "
+                    f"{MAX_HALVINGS} step halvings at stage {stage}, t={prep.t:.6g}"
+                )
             dt *= 0.5
             mu *= 0.5
-            if mu <= prep.mu0:
-                break
-        else:
-            raise NumericalFatalError(
-                f"adaptive CFL: mesh ratio still above mu0={prep.mu0:.6g} after "
-                f"{MAX_HALVINGS} step halvings at t={prep.t:.6g}"
-            )
-        log.info("adaptive CFL: step size reduced to %.6g at t=%.6g", dt, prep.t)
-        return dt
+            halvings += 1
+        log.info("adaptive CFL: step size reduced to %.6g at stage %d, t=%.6g",
+                 dt, stage, prep.t)
+        return dt, halvings
     if not state._cfl_warned:
         log.warning("mesh ratio %.6g exceeds positivity bound mu0=%.6g at t=%.6g "
                     "(monitor mode; further violations not logged)", mu, prep.mu0, prep.t)
         state._cfl_warned = True
-    return dt
+    return dt, halvings
 
 
 def pnp_step(state, dt):
@@ -288,16 +295,31 @@ def pnp_step(state, dt):
     the current state is cached on the State and reused while neither the
     time nor the densities change (the record at t_n shares the stage-1
     solve of step n).
+
+    Strict and adaptive CFL modes check both Heun stages: the positivity of
+    an Euler stage carries over to their convex combination only if each
+    stage meets mu <= mu0. When stage 2 needs a smaller step, adaptive mode
+    restarts the whole step with it; stage 1's prep does not depend on dt
+    and is reused.
     """
     prep = state.prepared_stage()
-    dt = _check_cfl(state, prep, dt)
-    s1 = _advance(state, state.c, prep, dt)
-    if state.config.rk == 2:
-        prep2 = _prepare_stage(state, s1, state.t + dt, need_cfl=False)
-        s2 = _advance(state, s1, prep2, dt)
-        state.c = Field(state.mesh, 0.5 * (state.c.coeffs + s2.coeffs))
-    else:
-        state.c = s1
+    halvings = 0
+    while True:
+        dt, halvings = _check_cfl(state, prep, dt, halvings, stage=1)
+        s1 = _advance(state, state.c, prep, dt)
+        if state.config.rk == 1:
+            new = s1
+            break
+        # monitor mode leaves stage 2 unchecked: its mu0 is then inf
+        prep2 = _prepare_stage(state, s1, state.t + dt,
+                               need_cfl=state.config.cfl_mode != "monitor")
+        dt2, halvings = _check_cfl(state, prep2, dt, halvings, stage=2)
+        if dt2 == dt:
+            s2 = _advance(state, s1, prep2, dt)
+            new = Field(state.mesh, 0.5 * (state.c.coeffs + s2.coeffs))
+            break
+        dt = dt2    # restart the whole step at the smaller dt
+    state.c = new
     state.t += dt
     return prep
 

@@ -71,13 +71,12 @@ def weighted_cell_average(field, weight):
     constant weight reduces to the plain average. Leading axes of the field
     and the weight broadcast: the result has shape (..., n_cells).
     """
-    mesh = field.mesh
-    quad = mesh.quadrature
-    num = (weight.vol * quad.values(field.coeffs)) @ (quad.tables.w_flat / 2 ** mesh.dim)
+    quad = field.mesh.quadrature
+    tb = quad.tables
+    num = (weight.vol * quad.values(field.coeffs)) @ tb.mean_vol
     # the zeroth moments of the x lines, averaged over the cross direction
-    across = quad.tables.faces[0].weights / 2 ** (mesh.dim - 1)
-    den = weight.lines[..., :len(across), 0] @ across
-    if np.any(den <= 0):
+    den = weight.lines[..., :len(tb.mean_x_lines), 0] @ tb.mean_x_lines
+    if (den <= 0).any():
         raise ValueError("nonpositive weight integral in weighted_cell_average")
     return num / den
 

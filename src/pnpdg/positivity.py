@@ -70,63 +70,33 @@ def build_weight(psi, q):
     """
     mesh = psi.mesh
     t = tables_for(mesh)
-    vol = psi.coeffs @ t.vol_flat.T
-    # psi on the high (xi_d = +1) and the low (xi_d = -1) side of every cell
-    traces = [(psi.coeffs @ ft.v_m.T, psi.coeffs @ ft.v_p.T) for ft in t.faces]
-    _guard(q, [vol] + [e for pair in traces for e in pair])
-    faces = []
-    for ft, pair in zip(t.faces, traces):
-        hi, lo = (_exp_weight(q, e).reshape(np.shape(q) + mesh.grid + (-1,)) for e in pair)
-        shape = list(hi.shape)
-        shape[ft.axis] += 1
-        f = np.empty(shape)
-        f[ft.inner] = 0.5 * (hi[ft.minus] + lo[ft.plus])
-        f[ft.at(0)] = lo[ft.at(0)]
-        f[ft.at(-1)] = hi[ft.at(-1)]
-        faces.append(f)
-    return WeightField(mesh, _exp_weight(q, vol), tuple(faces))
-
-
-def _exp_weight(q, v):
-    """exp(-q v), with the shape of q leading that of v."""
-    q = np.reshape(q, np.shape(q) + (1,) * v.ndim)
-    return np.exp(-q * v)
-
-
-def _guard(q, arrays):
-    worst = max(float(np.max(np.abs(a))) for a in arrays) * float(np.max(np.abs(q)))
+    # psi at the volume nodes, then on the high (xi_d = +1) and the low
+    # (xi_d = -1) side of every cell, direction by direction
+    nodes = psi.coeffs @ t.nodes_traces.T
+    worst = float(np.abs(nodes).max()) * float(np.max(np.abs(q)))
     if worst > OVERFLOW_LIMIT:
         raise OverflowGuardError(
             f"|q*psi| reaches {worst:.3g} > {OVERFLOW_LIMIT:g}; exp would overflow"
         )
-
-
-def _intervals(m0, m1, m2):
-    a = (m1 - m2) / (m0 - m1)
-    b = (m1 + m2) / (m0 + m1)
-    return a, b
-
-
-def _select_gammas(a, b, beta1, cap):
-    g = 0.5 * (a + b)
-    if cap:
-        lim = 8.0 * beta1 - 1.0
-        g = np.clip(g, -lim, lim)
-        bad = ~((a < g) & (g < b))
-        if np.any(bad):
-            i = int(np.argmax(bad.ravel()))
-            raise InadmissibleCellError(
-                np.unravel_index(i, bad.shape), float(a.ravel()[i]), float(b.ravel()[i]), lim
-            )
-    return g
-
-
-def _lagrange_weights(m0, m1, m2, g):
-    """Weighted integrals of the Lagrange basis on {-1, g, 1}."""
-    w1 = (g * m0 - (1.0 + g) * m1 + m2) / (2.0 * (1.0 + g))
-    w2 = (m0 - m2) / (1.0 - g * g)
-    w3 = (-g * m0 + (1.0 - g) * m1 + m2) / (2.0 * (1.0 - g))
-    return w1, w2, w3
+    e = np.exp(-np.reshape(q, np.shape(q) + (1, 1)) * nodes)
+    grid = e.shape[:-2] + mesh.grid + (-1,)
+    nv = start = len(t.vol_flat)
+    faces = []
+    for ft in t.faces:
+        ns = len(ft.weights)
+        hi = e[..., start:start + ns].reshape(grid)
+        lo = e[..., start + ns:start + 2 * ns].reshape(grid)
+        start += 2 * ns
+        shape = list(hi.shape)
+        shape[ft.axis] += 1
+        f = np.empty(shape)
+        inner = np.add(hi[ft.minus], lo[ft.plus], out=f[ft.inner])
+        inner *= 0.5
+        f[ft.at(0)] = lo[ft.at(0)]
+        f[ft.at(-1)] = hi[ft.at(-1)]
+        faces.append(f)
+    # M at the volume nodes is a view into the one exp result
+    return WeightField(mesh, e[..., :nv], tuple(faces))
 
 
 @dataclass
@@ -145,13 +115,30 @@ class TestSet:
 def build_test_set(weight, params):
     """Admissible test set and decomposition weights on every quadrature line.
 
-    Inside the positivity range the nodes are capped at |gamma| <= 8 beta1 - 1
-    and an empty interval raises; outside it they are the interval midpoints."""
+    The interval (a, b) of interior nodes comes from the line moments m0, m1,
+    m2. Inside the positivity range the nodes are capped at |gamma| <= 8 beta1
+    - 1 and an empty interval raises; outside it they are the interval
+    midpoints. The weights are the weighted integrals of the Lagrange basis
+    on {-1, gamma, 1}."""
     m = weight.lines
     m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
-    a, b = _intervals(m0, m1, m2)
-    g = _select_gammas(a, b, params.beta1, params.in_positivity_range())
-    w = np.stack(_lagrange_weights(m0, m1, m2, g), axis=-1)
+    a = (m1 - m2) / (m0 - m1)
+    b = (m1 + m2) / (m0 + m1)
+    g = 0.5 * (a + b)
+    if params.in_positivity_range():
+        lim = 8.0 * params.beta1 - 1.0
+        np.minimum(np.maximum(g, -lim, out=g), lim, out=g)
+        bad = ~((a < g) & (g < b))
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            raise InadmissibleCellError(
+                np.unravel_index(i, bad.shape), float(a.ravel()[i]), float(b.ravel()[i]), lim
+            )
+    gp, gm = 1.0 + g, 1.0 - g
+    w = np.empty(g.shape + (3,))
+    np.divide(g * m0 - gp * m1 + m2, 2.0 * gp, out=w[..., 0])
+    np.divide(m0 - m2, 1.0 - g * g, out=w[..., 1])
+    np.divide(-g * m0 + gm * m1 + m2, 2.0 * gm, out=w[..., 2])
     return TestSet(a, b, g, w)
 
 
@@ -186,14 +173,16 @@ def weighted_projection(c, weight):
         if not W[k, k].min() > 0.0:
             raise NumericalFatalError(
                 "weighted mass matrix has a nonpositive pivot (non-positive weight?)")
-        f = W[k + 1:, k] / W[k, k]
-        W[k + 1:, k + 1:] -= f[:, None] * W[k, k + 1:]
-        x[k + 1:] -= f * x[k]
-    for k in reversed(range(nb)):
+        if k + 1 < nb:
+            f = W[k + 1:, k] / W[k, k]
+            W[k + 1:, k + 1:] -= f[:, None] * W[k, k + 1:]
+            x[k + 1:] -= f * x[k]
+    for k in range(nb - 1, 0, -1):
         x[k] /= W[k, k]
         x[:k] -= W[:k, k] * x[k]
+    x[0] /= W[0, 0]
     x[0] += avg
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFatalError("weighted mass solve failed (non-positive weight?)")
     return Field(c.mesh, x.T.reshape(c.coeffs.shape))
 
@@ -209,9 +198,12 @@ def test_set_values(g, testset):
     coef = g.coeffs @ tables_for(g.mesh).line_coeffs
     a = coef.reshape(gam.shape + (3,))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    out = np.empty(a.shape)
     even = a0 + a2
-    at_g = a0 + gam * (a1 + 1.5 * gam * a2) - 0.5 * a2
-    return np.stack([even - a1, at_g, even + a1], axis=-1).reshape(coef.shape)
+    np.subtract(even, a1, out=out[..., 0])
+    out[..., 1] = a0 + gam * (a1 + 1.5 * gam * a2) - 0.5 * a2
+    np.add(even, a1, out=out[..., 2])
+    return out.reshape(coef.shape)
 
 
 @dataclass
@@ -234,46 +226,45 @@ def scaling_limiter(g, weight, testset):
     upstream and is treated as fatal.
     """
     wbar = weighted_cell_average(g, weight)
-    if np.any(wbar <= 0.0):
+    if (wbar <= 0.0).any():
         i = np.unravel_index(np.argmin(wbar), wbar.shape)
         raise NumericalFatalError(
             f"nonpositive weighted cell average {wbar[i]:.6g} in cell {i[-1]}; "
             "positivity lost before limiting"
         )
-    vals = test_set_values(g, testset)
-    mn = vals.min(axis=-1)
-    theta = np.ones_like(wbar)
+    mn = test_set_values(g, testset).min(axis=-1)
     neg = mn < 0.0
-    theta[neg] = wbar[neg] / (wbar[neg] - mn[neg])
-    out = g.coeffs * theta[..., None]
-    out[..., 0] += (1.0 - theta) * wbar
-    limited = Field(g.mesh, out)
+    theta = np.divide(wbar, wbar - mn, out=np.ones_like(wbar), where=neg)
     # the test-set values are affine in theta: each cell's new minimum is
     # theta*mn + (1-theta)*wbar, and exactly mn where theta = 1
-    post = theta * mn + (1.0 - theta) * wbar
-    return limited, LimiterReport(theta, int(neg.sum()), mn.min(axis=-1),
-                                  post.min(axis=-1))
-
-
-def _alpha1(gamma, beta1):
-    return (8.0 * beta1 - 1.0 + gamma) / (2.0 * (1.0 + gamma))
-
-
-def _alpha3(gamma, beta0, beta1):
-    return beta0 + (8.0 * beta1 - 3.0 + gamma) / (2.0 * (1.0 - gamma))
+    shift = (1.0 - theta) * wbar
+    out = g.coeffs * theta[..., None]
+    out[..., 0] += shift
+    post = theta * mn
+    post += shift
+    return Field(g.mesh, out), LimiterReport(theta, int(np.count_nonzero(neg)),
+                                             mn.min(axis=-1), post.min(axis=-1))
 
 
 def _mu0_terms(w1, w3, m0, m2, g, m_lo, m_hi, params):
-    """Three candidate bounds per cell/line; nonpositive denominators bind nothing."""
-    b0, b1 = params.beta0, params.beta1
-    d1 = _alpha3(-g, b0, b1) * m_lo + _alpha1(g, b1) * m_hi
-    d3 = _alpha3(g, b0, b1) * m_lo + _alpha1(-g, b1) * m_hi
-    d2 = 2.0 * (1.0 - 4.0 * b1) * (m_lo + m_hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(d1 > 0, w1 / d1, np.inf)
-        t3 = np.where(d3 > 0, w3 / d3, np.inf)
-        t2 = np.where(d2 > 0, (m0 - m2) / d2, np.inf)
-    return np.minimum(np.minimum(t1, t3), t2)
+    """Three candidate bounds per cell/line; nonpositive denominators bind nothing.
+
+    The test value at xi = -1 leaves through the low face with the factor
+    alpha3(-g) = b0 + (8 b1 - 3 - g) / (2(1 + g)) and through the high face
+    with alpha1(g) = (8 b1 - 1 + g) / (2(1 + g)); the value at xi = 1 is its
+    mirror image, alpha3(g) on the high face and alpha1(-g) on the low one.
+    Each pair shares its denominator, and x - g is x + (-g) bit for bit.
+    """
+    b0, c1, c3 = params.beta0, 8.0 * params.beta1 - 1.0, 8.0 * params.beta1 - 3.0
+    dp, dm = 2.0 * (1.0 + g), 2.0 * (1.0 - g)
+    d1 = (b0 + (c3 - g) / dp) * m_lo + (c1 + g) / dp * m_hi
+    d3 = (b0 + (c3 + g) / dm) * m_hi + (c1 - g) / dm * m_lo
+    d2 = 2.0 * (1.0 - 4.0 * params.beta1) * (m_lo + m_hi)
+    out = np.divide(w1, d1, out=np.full(g.shape, np.inf), where=d1 > 0)
+    np.minimum(out, np.divide(w3, d3, out=np.full(g.shape, np.inf), where=d3 > 0), out=out)
+    np.minimum(out, np.divide(m0 - m2, d2, out=np.full(g.shape, np.inf), where=d2 > 0),
+               out=out)
+    return out
 
 
 def cfl_mu0(weight, testset, params):

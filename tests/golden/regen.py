@@ -1,13 +1,16 @@
 """Golden outputs: short fixed runs stored at full precision, each column
 with its measured roundoff floor.
 
-    PYTHONPATH=src python tests/golden/regen.py [case ...]
+    PYTHONPATH=src python tests/golden/regen.py [case ...] [--only KEY ...]
 
 rewrites `<case>.npz` in this directory for the named cases (all by
-default). A file holds, as float64 arrays, the final coefficients of every
-species (`c`), the potential (`psi`), one entry per diagnostics row (`t`,
-`masses`, `energy`, `min_avgs`, `min_g_pre`, `min_g_post`, `theta_count`,
-`mu0`) and the errors (`err_<name>`).
+default). With `--only`, just the named columns and their floors are
+rewritten and every other array is kept as stored, so a change meant to
+move one column does not also take in the roundoff drift that earlier
+commits left in the others. A file holds, as float64 arrays, the final
+coefficients of every species (`c`), the potential (`psi`), one entry per
+diagnostics row (`t`, `masses`, `energy`, `min_avgs`, `min_g_pre`,
+`min_g_post`, `theta_count`, `mu0`) and the errors (`err_<name>`).
 
 Each column `<key>` comes with `floor_<key>`: the largest absolute
 deviation from the stored values over three seeded runs in which every
@@ -18,6 +21,7 @@ those inputs alone moves the column. `tests/test_golden.py` compares a
 run against these files.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -125,19 +129,30 @@ def floors(name, golden):
     return out
 
 
-def regenerate(name):
+def regenerate(name, only=()):
+    """Rewrite `<name>.npz`: every column, or just those in `only`."""
     golden = run_case(name)
+    unknown = set(only) - set(golden)
+    if unknown:
+        raise KeyError(f"{name} has no column {sorted(unknown)}")
     floor = floors(name, golden)
-    np.savez_compressed(HERE / f"{name}.npz", **golden,
-                        **{f"floor_{k}": np.array(v) for k, v in floor.items()})
+    arrays = {**golden, **{f"floor_{k}": np.array(v) for k, v in floor.items()}}
+    if only:
+        stored = dict(np.load(HERE / f"{name}.npz"))
+        arrays = {**stored, **{k: arrays[k] for key in only for k in (key, f"floor_{key}")}}
+    np.savez_compressed(HERE / f"{name}.npz", **arrays)
     return golden, floor
 
 
 def main(argv):
-    for name in argv or CASES:
-        golden, floor = regenerate(name)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("cases", nargs="*", metavar="case")
+    parser.add_argument("--only", action="append", default=[], metavar="KEY")
+    args = parser.parse_args(argv)
+    for name in args.cases or CASES:
+        golden, floor = regenerate(name, args.only)
         print(name)
-        for key in golden:
+        for key in args.only or golden:
             scale = float(np.max(np.abs(golden[key]), initial=0.0))
             print(f"  {key:12s} max {scale:10.3e}  floor {floor[key]:10.3e}")
     return 0

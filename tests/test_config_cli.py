@@ -141,6 +141,40 @@ def test_cli_run_deterministic(tmp_path):
                                 "min_g_1,min_g_2,theta_count,mu0")
 
 
+EXAMPLE4_CFG = """
+[benchmark]
+id = example4
+[mesh]
+sizes = 6
+[time]
+t_final = 0.003
+dt = 1e-4
+[output]
+dir = {out}
+cadence = 1
+"""
+
+
+def test_cli_run_writes_post_limit_minima(tmp_path):
+    # min_g_post_1..m follow mu0; after limiting the test-set minima are
+    # nonnegative up to roundoff, and equal the raw minima where no cell of
+    # the row was limited
+    out = tmp_path / "o"
+    assert main(["run", "--config", _write(tmp_path, "e4.cfg", EXAMPLE4_CFG.format(out=out))]) == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    cols = lines[1].split(",")
+    assert cols[cols.index("mu0") + 1:] == ["min_g_post_1", "min_g_post_2"]
+    rows = [dict(zip(cols, line.split(","))) for line in lines[2:]]
+    assert len(rows) == 31
+    scale = max(abs(float(r[k])) for r in rows for k in cols if k.startswith(("min_g", "min_avg")))
+    assert int(rows[0]["theta_count"]) > 0 and float(rows[0]["min_g_2"]) < 0
+    for r in rows:
+        for i in (1, 2):
+            assert float(r[f"min_g_post_{i}"]) >= -1e-14 * scale
+            if r["theta_count"] == "0":
+                assert r[f"min_g_post_{i}"] == r[f"min_g_{i}"]
+
+
 def test_cli_exit_code_config_error(tmp_path):
     bad = _write(tmp_path, "bad.cfg", "[benchmark]\nid = nosuch\n")
     assert main(["run", "--config", bad]) == 2

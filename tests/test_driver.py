@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import pnpdg.driver as driver
 from oracles import zero_field
 from pnpdg.basis import RULE, SeparableSource
 from pnpdg.benchmarks import build_benchmark
@@ -364,3 +365,67 @@ def test_run_without_diagnostics():
     assert bare.diagnostics == []
     assert bare.errors == full.errors
     assert np.array_equal(full.state.c.coeffs, bare.state.c.coeffs)
+
+
+def _bind_at_stage_2(monkeypatch, state, dt, factor):
+    """Replaces the driver's cfl_mu0: no bound for stage 1 (the first call),
+    `factor` times the mesh ratio of dt for every later call (stage 2)."""
+    bound = factor * sum(dt / h ** 2 for h in state.mesh.spacing)
+    calls = []
+
+    def fake(weight, testset, params):
+        calls.append(weight)
+        return np.inf if len(calls) == 1 else bound
+
+    monkeypatch.setattr(driver, "cfl_mu0", fake)
+    return calls
+
+
+def test_strict_cfl_checks_heun_stage_2(monkeypatch):
+    problem, _ = build_benchmark("example2", 8)
+    state = init(problem, SimConfig(T=1.0, cfl_mode="strict"))
+    dt = 1e-4
+    _bind_at_stage_2(monkeypatch, state, dt, 0.75)
+    with pytest.raises(NumericalFatalError, match="stage 2"):
+        pnp_step(state, dt)
+    assert state.t == 0.0
+
+
+def test_adaptive_cfl_restarts_the_step_for_stage_2(monkeypatch):
+    # stage 2 binds between the mesh ratios of dt/2 and dt: one halving, and
+    # the whole step is redone at dt/2
+    dt = 1e-4
+    problem, _ = build_benchmark("example2", 8)
+    plain = init(problem, SimConfig(T=1.0))
+    pnp_step(plain, 0.5 * dt)
+    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    calls = _bind_at_stage_2(monkeypatch, state, dt, 0.75)
+    pnp_step(state, dt)
+    assert len(calls) == 3     # stage 1 once, stage 2 at dt and at dt/2
+    assert state.t == 0.5 * dt
+    assert np.array_equal(state.c.coeffs, plain.c.coeffs)
+
+
+def test_monitor_cfl_leaves_stage_2_unchecked(monkeypatch):
+    dt = 1e-4
+    problem, _ = build_benchmark("example2", 8)
+    plain = init(problem, SimConfig(T=1.0))
+    pnp_step(plain, dt)
+    state = init(problem, SimConfig(T=1.0))
+    calls = _bind_at_stage_2(monkeypatch, state, dt, 0.75)
+    pnp_step(state, dt)
+    assert len(calls) == 1
+    assert state.t == dt
+    assert np.array_equal(state.c.coeffs, plain.c.coeffs)
+
+
+def test_adaptive_halvings_of_both_stages_share_the_cap(monkeypatch):
+    # stage 1 takes all MAX_HALVINGS halvings; stage 2 then needs one more
+    problem, _ = build_benchmark("example2", 8)
+    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    dt = 1e-3
+    small = dt * 0.5 ** MAX_HALVINGS
+    _bind_at_stage_2(monkeypatch, state, small, 0.75)
+    state.prepared_stage().mu0 = small / state.mesh.spacing[0] ** 2
+    with pytest.raises(NumericalFatalError, match="halvings at stage 2"):
+        pnp_step(state, dt)

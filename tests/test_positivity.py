@@ -373,3 +373,18 @@ def test_cfl_2d_directional_minimum(rng):
         mu0.append(cfl_mu0(w, build_test_set(w, p), p))
     assert mu0[0] > 0
     assert abs(mu0[1] - mu0[0]) <= 1e-14 * mu0[0]
+
+
+def test_cfl_mirror_invariance(rng):
+    # reflecting x -> 1 - x maps every cell's low face to its high face and
+    # the test point -1 to +1, so the bound must stay put; it does only if
+    # each end value of a line is charged against its own face
+    m = build_mesh_1d(0, 1, 6)
+    psi = random_psi(m, rng, scale=0.4)
+    mirrored = Field(m, psi.coeffs[::-1] * np.array([1.0, -1.0, 1.0]))
+    p = FluxParams(2.0, 1 / 6)
+    mu0 = []
+    for field in (psi, mirrored):
+        w = build_weight(field, 1.0)
+        mu0.append(cfl_mu0(w, build_test_set(w, p), p))
+    assert abs(mu0[1] - mu0[0]) <= 1e-14 * mu0[0]
