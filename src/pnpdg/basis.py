@@ -50,42 +50,6 @@ PAIRS_1D = ((0,), (1,), (2,))
 PAIRS_2D = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-class Basis:
-    """Tensor products of Legendre polynomials, one degree tuple per function."""
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-        self.dim = len(pairs[0])
-        self.nb = len(pairs)
-        self.gram = np.array([math.prod(GRAM_1D[a] for a in p) for p in pairs])
-
-    def table(self, orders, *xi):
-        """Basis derivatives of the given order per direction at reference
-        points xi (one coordinate array per direction); shape xi.shape + (nb,)."""
-        leg = [LEGENDRE[k](x) for k, x in zip(orders, xi)]
-        out = []
-        for p in self.pairs:
-            v = leg[0][..., p[0]]
-            for f, a in zip(leg[1:], p[1:]):
-                v = v * f[..., a]
-            out.append(v)
-        return np.stack(out, axis=-1)
-
-    def vals(self, *xi):
-        return self.table((0,) * self.dim, *xi)
-
-    def __repr__(self):
-        return f"Basis(P2, dim={self.dim})"
-
-
-BASIS_1D = Basis(PAIRS_1D)
-BASIS_2D = Basis(PAIRS_2D)
-
-
-def basis_for(mesh):
-    return (BASIS_1D, BASIS_2D)[mesh.dim - 1]
-
-
 # the scheme's Gauss rule: every weighted integral uses it, so the weighted
 # average equals the test-set decomposition and the limiter keeps it exactly.
 # It is the 4-point Gauss-Legendre rule on [-1, 1], written out: nodes
@@ -173,18 +137,37 @@ class FaceTables:
         return gm, gp, flux
 
 
-class Tables:
-    """Basis values at the tensor quadrature nodes, flattened to (nq^dim, nb),
-    the projection and moment tables, the moment and coefficient tables of
-    every quadrature line, one FaceTables per direction, `nodes_traces`,
-    the basis values at the volume nodes stacked over the high and the low
-    trace of every direction, and the weights of the cell mean."""
+def _polish_projection(vals, weights, gram):
+    """Projection table P with P @ vals = I to quadratic precision.
 
-    def __init__(self, basis):
+    The Newton polish brings P @ vals closer to I, yet projecting through P
+    is not exact (a constant keeps ~1e-16 in its higher modes); the neutral
+    state is exact by `SpeciesSpec.init_coeffs` and `weighted_projection`'s
+    `m_ref`.
+    """
+    P = (vals * weights[:, None]).T / gram[:, None]
+    for _ in range(2):
+        P = P + (np.eye(P.shape[0]) - P @ vals) @ P
+    return P
+
+
+class Basis:
+    """Tensor products of Legendre polynomials, one degree tuple per function,
+    and their tables under the scheme's rule: the values at the tensor
+    quadrature nodes (`vol`, flattened to (nq^dim, nb) in `vol_flat`), the
+    projection and moment tables, the moment and coefficient tables of every
+    quadrature line, one FaceTables per direction, `nodes_traces` (the
+    values at the volume nodes stacked over the high and the low trace of
+    every direction) and the weights of the cell mean."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.dim = dim = len(pairs[0])
+        self.nb = len(pairs)
+        self.gram = np.array([math.prod(GRAM_1D[a] for a in p) for p in pairs])
         q = RULE.nodes
-        dim = basis.dim
-        self.vol = basis.vals(*_node_grid(dim))   # (nq,)*dim + (nb,)
-        self.vol_flat = self.vol.reshape(-1, basis.nb)
+        self.vol = self.vals(*_node_grid(dim))
+        self.vol_flat = self.vol.reshape(-1, self.nb)
         self.w_flat = _tensor_weights(dim)
         # fused projection table: node -> stacked (m, l) basis products
         self.vol_outer = (self.vol_flat[:, :, None] * self.vol_flat[:, None, :]).reshape(
@@ -197,8 +180,8 @@ class Tables:
         self.line_mom = np.concatenate(
             [np.tensordot(unit, self.mom, axes=([1 + d], [0])).reshape(len(unit), -1)
              for d in range(dim)], axis=1)
-        self.proj = _polish_projection(self.vol_flat, self.w_flat, basis.gram)
-        self.faces = tuple(FaceTables(basis, d) for d in range(dim))
+        self.proj = _polish_projection(self.vol_flat, self.w_flat, self.gram)
+        self.faces = tuple(FaceTables(self, d) for d in range(dim))
         # the line coefficients of every quadrature line, x lines first
         self.line_coeffs = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
         # rows: the volume nodes, then per direction the xi_d = +1 and the
@@ -210,28 +193,31 @@ class Tables:
         self.mean_vol = self.w_flat / 2 ** dim
         self.mean_x_lines = self.faces[0].weights / 2 ** (dim - 1)
 
+    def table(self, orders, *xi):
+        """Basis derivatives of the given order per direction at reference
+        points xi (one coordinate array per direction); shape xi.shape + (nb,)."""
+        leg = [LEGENDRE[k](x) for k, x in zip(orders, xi)]
+        out = []
+        for p in self.pairs:
+            v = leg[0][..., p[0]]
+            for f, a in zip(leg[1:], p[1:]):
+                v = v * f[..., a]
+            out.append(v)
+        return np.stack(out, axis=-1)
 
-def _polish_projection(vals, weights, gram):
-    """Projection table P with P @ vals = I to quadratic precision.
+    def vals(self, *xi):
+        return self.table((0,) * self.dim, *xi)
 
-    Newton-polishing the quadrature left-inverse makes the projection of any
-    exactly-representable polynomial exact in floating point, so constant
-    states carry no roundoff seed into the time loop.
-    """
-    P = (vals * weights[:, None]).T / gram[:, None]
-    for _ in range(2):
-        P = P + (np.eye(P.shape[0]) - P @ vals) @ P
-    return P
+    def __repr__(self):
+        return f"Basis(P2, dim={self.dim})"
 
 
-_TABLE_CACHE = {}
+BASIS_1D = Basis(PAIRS_1D)
+BASIS_2D = Basis(PAIRS_2D)
 
 
-def tables_for(mesh):
-    """The Tables of the mesh's dimension, built once per dimension."""
-    if mesh.dim not in _TABLE_CACHE:
-        _TABLE_CACHE[mesh.dim] = Tables(basis_for(mesh))
-    return _TABLE_CACHE[mesh.dim]
+def basis_for(mesh):
+    return (BASIS_1D, BASIS_2D)[mesh.dim - 1]
 
 
 class SeparableSource(tuple):
@@ -268,7 +254,7 @@ class CellQuadrature:
     """
 
     def __init__(self, mesh):
-        self.tables = tb = tables_for(mesh)
+        self.basis = basis_for(mesh)
         dim, h = mesh.dim, mesh.spacing
         node = [c[:, None] + 0.5 * hd * RULE.nodes[None, :] for c, hd in zip(mesh.axes, h)]
         full = mesh.grid + (RULE.n,) * dim
@@ -282,26 +268,26 @@ class CellQuadrature:
         self.jac = mesh.cell_volume / 2 ** dim
         others = [[i for i in range(dim) if i != d] for d in range(dim)]
         self.face_weights = tuple(f.weights * math.prod(h[i] / 2.0 for i in o)
-                                  for f, o in zip(tb.faces, others))
+                                  for f, o in zip(self.basis.faces, others))
         self.face_points = tuple(tuple(node[i] for i in o) for o in others)
         cells = np.arange(mesh.n_cells).reshape(mesh.grid + (1,))
         self.boundary_cells = tuple((cells[f.at(0)].ravel(), cells[f.at(-1)].ravel())
-                                    for f in tb.faces)
+                                    for f in self.basis.faces)
         self.stiffness = tuple(math.prod(h[i] for i in o) * 2 ** (2 - dim) / h[d]
                                for d, o in enumerate(others))
         self._separable = {}
 
     def values(self, coeffs):
-        return coeffs @ self.tables.vol_flat.T
+        return coeffs @ self.basis.vol_flat.T
 
     def integrate(self, v):
-        return float(np.einsum("q,nq->", self.tables.w_flat, v)) * self.jac
+        return float(np.einsum("q,nq->", self.basis.w_flat, v)) * self.jac
 
     def project(self, v):
-        return v @ self.tables.proj.T
+        return v @ self.basis.proj.T
 
     def load(self, v):
-        return ((v * self.tables.w_flat) @ self.tables.vol_flat) * self.jac
+        return ((v * self.basis.w_flat) @ self.basis.vol_flat) * self.jac
 
     def load_source(self, f, t):
         """int(f(t, x) phi_m) per cell. A plain callable is evaluated at the

@@ -20,9 +20,9 @@ import numpy as np
 from .basis import basis_for
 from .exceptions import ConfigError, NumericalFatalError
 from .field import Field, FluxParams, l1_error, project_l2
-from .poisson import LoadSpec, PoissonBC, assemble_load, assemble_operator
-from .positivity import build_test_set, build_weight, cfl_mu0, scaling_limiter, \
-    test_set_values, weighted_projection
+from .poisson import PoissonBC, assemble_load, assemble_operator
+from .positivity import LimiterReport, build_test_set, build_weight, cfl_mu0, \
+    scaling_limiter, test_set_values, weighted_projection
 from .transport import apply_mass_inverse, np_rhs
 
 log = logging.getLogger("pnpdg")
@@ -90,9 +90,6 @@ class ProblemSpec:
     def charges(self):
         return [s.charge for s in self.species]
 
-    def load_spec(self):
-        return LoadSpec(self.charges, self.rho0, self.poisson_source)
-
 
 @dataclass
 class SimConfig:
@@ -137,33 +134,29 @@ class RunResult:
 
 @dataclass(slots=True)
 class _StagePrep:
-    """dt-independent part of one explicit stage at a fixed time.
-
-    `weight` and `g` carry a leading species axis. `mu0` is NaN
-    outside the positivity range, where no CFL check applies."""
+    """dt-independent part of one explicit stage at a fixed time. `weight`
+    and `g` carry a leading species axis. `mu0` is NaN outside the positivity
+    range, where no CFL check applies. Without the limiter, `report` holds
+    theta = 1 and equal test-set minima."""
 
     t: float
     psi: Field
     weight: object
     g: Field
     mu0: float
-    n_limited: int
-    min_g_pre: list
-    min_g_post: list
+    report: LimiterReport
 
 
 class State:
-    """Time, densities `c` (one (m_species, n_cells, nb) Field) and the
-    factorized Poisson operator of a run. The species charges, the Poisson
-    load data and the transport sources every stage reads are taken from
-    the problem once, when the state is made."""
+    """One run's time, densities `c` (one (m_species, n_cells, nb) Field),
+    factorized Poisson operator, and the charges and sources every stage
+    reads, taken from the problem once."""
 
     def __init__(self, problem, config):
         self.problem = problem
         self.config = config
         self.charges = np.array(problem.charges, dtype=float)
         self.charges.flags.writeable = False
-        self.load_spec = problem.load_spec()
         self.sources = [sp.source for sp in problem.species]
         self.t = 0.0
         self.operator = None
@@ -231,20 +224,18 @@ def _prepare_stage(state, c, t, need_cfl=True):
     """Poisson solve, weights, projections, test sets and limiting at time t
     for the stacked densities c."""
     pb = state.problem
-    load = assemble_load(state.operator, c.coeffs, state.load_spec, t)
+    load = assemble_load(state.operator, c.coeffs, state.charges, t, pb.rho0, pb.poisson_source)
     psi = state.operator.solve(load)
     w = build_weight(psi, state.charges)
     g = weighted_projection(c, w)
     ts = build_test_set(w, pb.np_params)
     if state.config.limiter:
         g, rep = scaling_limiter(g, w, ts)
-        n_limited = rep.n_limited
-        min_pre, min_post = rep.min_pre.tolist(), rep.min_post.tolist()
     else:
-        n_limited = 0
-        min_pre = min_post = test_set_values(g, ts).min(axis=(-2, -1)).tolist()
+        mn = test_set_values(g, ts).min(axis=(-2, -1))
+        rep = LimiterReport(np.ones(g.coeffs.shape[:-1]), 0, mn, mn)
     mu0 = cfl_mu0(w, ts, pb.np_params) if need_cfl else np.inf
-    return _StagePrep(t, psi, w, g, mu0, n_limited, min_pre, min_post)
+    return _StagePrep(t, psi, w, g, mu0, rep)
 
 
 def _advance(state, c, prep, dt):
@@ -332,9 +323,9 @@ def _record(state, prep):
         masses=masses,
         energy=energy,
         min_avgs=state.c.cell_averages.min(axis=-1).tolist(),
-        min_g_pre=list(prep.min_g_pre),
-        min_g_post=list(prep.min_g_post),
-        n_limited=prep.n_limited,
+        min_g_pre=prep.report.min_pre.tolist(),
+        min_g_post=prep.report.min_post.tolist(),
+        n_limited=prep.report.n_limited,
         mu0=prep.mu0,
     )
 

@@ -71,11 +71,10 @@ def weighted_cell_average(field, weight):
     constant weight reduces to the plain average. Leading axes of the field
     and the weight broadcast: the result has shape (..., n_cells).
     """
-    quad = field.mesh.quadrature
-    tb = quad.tables
-    num = (weight.vol * quad.values(field.coeffs)) @ tb.mean_vol
+    basis = field.basis
+    num = (weight.vol * field.mesh.quadrature.values(field.coeffs)) @ basis.mean_vol
     # the zeroth moments of the x lines, averaged over the cross direction
-    den = weight.lines[..., :len(tb.mean_x_lines), 0] @ tb.mean_x_lines
+    den = weight.lines[..., :len(basis.mean_x_lines), 0] @ basis.mean_x_lines
     if (den <= 0).any():
         raise ValueError("nonpositive weight integral in weighted_cell_average")
     return num / den

@@ -92,15 +92,6 @@ class PoissonBC:
             )
 
 
-@dataclass
-class LoadSpec:
-    """Right-hand-side data: species charges, fixed charge, optional extra source."""
-
-    charges: list
-    rho0: object = None           # rho0(x[, y])
-    extra_source: object = None   # f(t, x[, y]), manufactured problems only
-
-
 class PoissonOperator:
     """The DDG matrix, factorized once, and the load row of every boundary side.
 
@@ -143,16 +134,16 @@ def assemble_operator(mesh, params, bc):
         )
     bb = max(params.beta0, 2.0 * gamma_d(2, 0.0))
     quad = mesh.quadrature
-    tb = quad.tables
-    nb = basis_for(mesh).nb
+    basis = basis_for(mesh)
+    nb = basis.nb
     cells = np.arange(mesh.n_cells).reshape(mesh.grid + (1,))
     # every dense block is a sum of Q + Q^T terms, so exactly symmetric, and
     # no two blocks share an entry: A == A^T holds bitwise
-    Q = sum((0.5 * k) * ((ft.dvol.T * tb.w_flat) @ ft.dvol)
-            for ft, k in zip(tb.faces, quad.stiffness))
+    Q = sum((0.5 * k) * ((ft.dvol.T * basis.w_flat) @ ft.dvol)
+            for ft, k in zip(basis.faces, quad.stiffness))
     diag = np.broadcast_to(Q + Q.T, (mesh.n_cells, nb, nb)).copy()
     blocks, pairs, boundary_rows = [diag], [(cells.ravel(), cells.ravel())], []
-    for d, (ft, h, fw) in enumerate(zip(tb.faces, mesh.spacing, quad.face_weights)):
+    for d, (ft, h, fw) in enumerate(zip(basis.faces, mesh.spacing, quad.face_weights)):
         F = _interior_face_block(ft, h, fw, params, nb)
         minus, plus = cells[ft.minus].ravel(), cells[ft.plus].ravel()
         diag[minus] += F[:nb, :nb]
@@ -199,18 +190,19 @@ def _interior_face_block(ft, h, fw, params, nb):
     return Q + Q.T
 
 
-def assemble_load(op, densities, load, t=0.0):
-    """Right-hand-side vector at time t for the stacked density coefficients
-    `densities`, (m_species, n_cells, nb), and the boundary data."""
+def assemble_load(op, densities, charges, t=0.0, rho0=None, source=None):
+    """Right-hand-side vector at time t for the stacked densities `densities`,
+    (m_species, n_cells, nb), of the given `charges`, the fixed charge
+    rho0(x[, y]), the manufactured source f(t, x[, y]) and the boundary data."""
     quad = op.mesh.quadrature
     gram = basis_for(op.mesh).gram
-    charge = sum((q * c for q, c in zip(load.charges, densities)),
+    charge = sum((q * c for q, c in zip(charges, densities)),
                  np.zeros((op.mesh.n_cells, len(gram))))
     b = (quad.jac * gram) * charge
-    if load.rho0 is not None:
-        b += quad.load(load.rho0(*quad.points))
-    if load.extra_source is not None:
-        b += quad.load_source(load.extra_source, t)
+    if rho0 is not None:
+        b += quad.load(rho0(*quad.points))
+    if source is not None:
+        b += quad.load_source(source, t)
     for data, side, fw, tangent, row in op.boundary_rows:
         # data are scalar or (n_side, ns) values at the side's face nodes
         b[side] += (np.asarray(data(t, *tangent), dtype=float) * fw) @ row

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import tables_for
+from .basis import basis_for
 from .exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
 from .field import Field, weighted_cell_average
 
@@ -43,7 +43,7 @@ class WeightField:
     """Positive weights M = exp(-q psi_h) where the scheme needs them.
 
     `vol` holds M at the volume quadrature nodes, (..., n, nq^dim) in the
-    node order of `Tables.vol_flat`. `faces[d]` holds {M} on the faces
+    node order of `Basis.vol_flat`. `faces[d]` holds {M} on the faces
     normal to direction d, (..., *face grid, ns) in grid order: the mean of
     the two traces on interior faces, the one-sided trace on boundary
     faces; 1D has `faces[0]`, (..., n+1, 1). `lines` holds the weighted
@@ -58,7 +58,7 @@ class WeightField:
         self.mesh = mesh
         self.vol = vol
         self.faces = faces
-        self.lines = (vol @ tables_for(mesh).line_mom).reshape(vol.shape[:-1] + (-1, 3))
+        self.lines = (vol @ basis_for(mesh).line_mom).reshape(vol.shape[:-1] + (-1, 3))
 
 
 def build_weight(psi, q):
@@ -66,23 +66,23 @@ def build_weight(psi, q):
 
     `q` is one charge, or an array of charges whose shape leads every array.
     Aborts with OverflowGuardError if |q psi| exceeds the double-precision
-    exponent guard at any volume or trace node.
+    exponent guard at any volume or trace node, or is not a number there.
     """
     mesh = psi.mesh
-    t = tables_for(mesh)
+    basis = psi.basis
     # psi at the volume nodes, then on the high (xi_d = +1) and the low
     # (xi_d = -1) side of every cell, direction by direction
-    nodes = psi.coeffs @ t.nodes_traces.T
+    nodes = psi.coeffs @ basis.nodes_traces.T
     worst = float(np.abs(nodes).max()) * float(np.max(np.abs(q)))
-    if worst > OVERFLOW_LIMIT:
-        raise OverflowGuardError(
-            f"|q*psi| reaches {worst:.3g} > {OVERFLOW_LIMIT:g}; exp would overflow"
-        )
+    if not worst <= OVERFLOW_LIMIT:   # NaN, from a NaN psi or q = 0 times inf, fails too
+        raise OverflowGuardError("psi is not finite" if not np.isfinite(nodes).all() else
+                                 f"|q*psi| reaches {worst:.3g} > {OVERFLOW_LIMIT:g}; "
+                                 "exp would overflow")
     e = np.exp(-np.reshape(q, np.shape(q) + (1, 1)) * nodes)
     grid = e.shape[:-2] + mesh.grid + (-1,)
-    nv = start = len(t.vol_flat)
+    nv = start = len(basis.vol_flat)
     faces = []
-    for ft in t.faces:
+    for ft in basis.faces:
         ns = len(ft.weights)
         hi = e[..., start:start + ns].reshape(grid)
         lo = e[..., start + ns:start + 2 * ns].reshape(grid)
@@ -152,7 +152,6 @@ def weighted_projection(c, weight):
     symmetric positive definite when M > 0, since the Gauss weights are
     positive, so a nonpositive pivot means a nonpositive weight.
     """
-    t = tables_for(c.mesh)
     gram = c.basis.gram
     nb = len(gram)
     coeffs = c.coeffs.reshape(-1, nb)
@@ -163,7 +162,7 @@ def weighted_projection(c, weight):
     # c are both constant g has exactly zero higher modes and the constant
     # steady state is an exact discrete fixed point
     m_ref = mv[:, 0]
-    W = t.vol_outer.T @ ((mv - m_ref[:, None]) * t.w_flat).T
+    W = c.basis.vol_outer.T @ ((mv - m_ref[:, None]) * c.basis.w_flat).T
     W[::nb + 1] += gram[:, None] * m_ref    # the diagonal rows of the flat W
     W = W.reshape(nb, nb, -1)
     # solve for the deviation from the plain cell average
@@ -195,7 +194,7 @@ def test_set_values(g, testset):
     in xi_d; one table gives the coefficients of every line.
     """
     gam = testset.gammas
-    coef = g.coeffs @ tables_for(g.mesh).line_coeffs
+    coef = g.coeffs @ g.basis.line_coeffs
     a = coef.reshape(gam.shape + (3,))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     out = np.empty(a.shape)
@@ -279,7 +278,7 @@ def cfl_mu0(weight, testset, params):
     # through a (..., *grid, dim, lines per direction) view
     lo, hi = np.empty(testset.gammas.shape), np.empty(testset.gammas.shape)
     grid = lo.shape[:-2] + mesh.grid + (mesh.dim, -1)
-    for d, (ft, mf) in enumerate(zip(tables_for(mesh).faces, weight.faces)):
+    for d, (ft, mf) in enumerate(zip(basis_for(mesh).faces, weight.faces)):
         lo.reshape(grid)[..., d, :] = mf[ft.minus]
         hi.reshape(grid)[..., d, :] = mf[ft.plus]
     m, w = weight.lines, testset.line_weights

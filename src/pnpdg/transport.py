@@ -24,10 +24,10 @@ def np_rhs(g, weight, params, source=None, t=0.0):
     """
     mesh = g.mesh
     quad = mesh.quadrature
-    faces = quad.tables.faces
+    faces = g.basis.faces
     c = g.coeffs
     lead = c.shape[:-2]
-    mw = weight.vol * quad.tables.w_flat
+    mw = weight.vol * g.basis.w_flat
     rhs = np.zeros(c.shape)
     for ft, k in zip(faces, quad.stiffness):
         rhs -= k * ((mw * (c @ ft.dvol.T)) @ ft.dvol)

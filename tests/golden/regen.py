@@ -43,6 +43,10 @@ CASES = {
     "example3-1": ("example3-1", 10, {}, dict(T=1e-3, mu=1.6e-5)),
     "example4": ("example4", 20, {}, dict(T=3e-4, dt=1e-5, cadence=1)),
     "neutral": ("neutral", 8, dict(dim=2, perturb=0.1), dict(T=2e-3, mu=0.01)),
+    # dt is above the t = 0 bound (mesh ratio 0.016 > mu0 = 0.0109), so the
+    # adaptive mode halves the step
+    "example4-adaptive": ("example4", 20, {}, dict(T=3e-4, dt=2e-5, cadence=1,
+                                                   cfl_mode="adaptive")),
 }
 
 

@@ -8,6 +8,9 @@ solver's batched kernels are checked against them.
 `decomposition_cell_averages` advances only the cell averages through the
 quadrature/decomposition identity; it must agree with the v = 1 component
 of the full update to roundoff.
+
+`boltzmann_state` solves the discrete Poisson-Boltzmann problem, whose
+solutions are the charged steady states of the scheme.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pnpdg.basis import RULE, basis_for
+from pnpdg.driver import fit_steady_amplitudes, steady_state_init
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError
 from pnpdg.field import Field
 from pnpdg.positivity import WeightField, test_set_values
@@ -220,7 +224,7 @@ def decomposition_cell_averages(g, weight, testset, params, dt):
     c = g.coeffs.reshape(mesh.grid + (-1,))
     out = 0.0
     weights = testset.line_weights.reshape(n, mesh.dim, -1, 3)
-    for d, (ft, h, mf) in enumerate(zip(mesh.quadrature.tables.faces, mesh.spacing,
+    for d, (ft, h, mf) in enumerate(zip(basis_for(mesh).faces, mesh.spacing,
                                         weight.faces)):
         mflux = np.zeros(mf.shape)   # zero flux on the boundary faces
         mflux[ft.inner] = mf[ft.inner] * ft.flux(c, h, params)[2].reshape(mf[ft.inner].shape)
@@ -228,3 +232,24 @@ def decomposition_cell_averages(g, weight, testset, params, dt):
             + mu * h * np.diff(mflux, axis=ft.axis).reshape(n, -1)
         out = out + (mus[d] / mu) * (line @ (ft.weights / 2 ** (mesh.dim - 1)))
     return out
+
+
+def boltzmann_state(state, max_iter=200):
+    """Replace the densities of `state` by the discrete Poisson-Boltzmann
+    state of their masses; returns the last change of psi.
+
+    Picard iteration: c_i is exp(-q_i psi) projected cell by cell and scaled
+    to species i's mass (`steady_state_init`, `fit_steady_amplitudes`), then
+    psi solves the package's Poisson problem for c. It stops once psi
+    changes by at most 4 eps max|psi|; c and the Poisson solution of c then
+    form a Boltzmann state c_i = A_i exp(-q_i psi) to that change.
+    """
+    psi = state.prepared_stage().psi
+    for _ in range(max_iter):
+        state.c = steady_state_init(state.problem, fit_steady_amplitudes(state, psi), psi)
+        new = state.prepared_stage().psi
+        change = float(np.abs(new.coeffs - psi.coeffs).max())
+        if change <= 4 * np.finfo(float).eps * np.abs(psi.coeffs).max():
+            break
+        psi = new
+    return change

@@ -21,7 +21,7 @@ from pnpdg.basis import basis_for
 from pnpdg.driver import init, pnp_step
 from pnpdg.field import Field, weighted_cell_average
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.poisson import (LoadSpec, PoissonBC, assemble_load, assemble_operator,
+from pnpdg.poisson import (PoissonBC, assemble_load, assemble_operator,
                            dirichlet, gamma_d)
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_projection)
@@ -425,7 +425,7 @@ def test_criterion_11_poisson_solver():
         mesh = build_mesh_1d(0, 1, n)
         bc = PoissonBC({"left": dirichlet(), "right": dirichlet()})
         op = assemble_operator(mesh, FluxParams(4.0, 1 / 6), bc)
-        b = assemble_load(op, [], LoadSpec([], rho0=lambda x: np.pi**2 * np.sin(np.pi * x)))
+        b = assemble_load(op, [], [], rho0=lambda x: np.pi**2 * np.sin(np.pi * x))
         errs.append(pnpdg.l1_error(op.solve(b), lambda x: np.sin(np.pi * x)))
     orders = _orders(errs)
     ok_order = all(o >= 2.8 for o in orders)

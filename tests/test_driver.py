@@ -1,16 +1,27 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pnpdg.driver as driver
-from oracles import zero_field
+from oracles import boltzmann_state, zero_field
 from pnpdg.basis import RULE, SeparableSource
 from pnpdg.benchmarks import build_benchmark
 from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, fit_steady_amplitudes,
                           free_energy, init, pnp_step, run, steady_state_init, total_mass)
 from pnpdg.exceptions import ConfigError, NumericalFatalError
 from pnpdg.field import Field, l1_error, project_l2
+from pnpdg.mesh import SIDES
+from pnpdg.poisson import PoissonBC, dirichlet, neumann
+
+EPS = np.finfo(float).eps
+# bounds of the charged steady state, in eps times the largest density: per
+# step also times the mesh ratio mu. Measured on the meshes below, rk 1 and
+# 2: at most 36 eps mu per step in 1D and 109 eps mu in 2D, and 1.2 eps
+# after 1000 steps at mu0/2.
+STEADY_STEP_K = 500
+STEADY_DRIFT_K = 10
 
 
 def test_example2_initial_masses():
@@ -226,6 +237,40 @@ def test_steady_state_reinit_is_stationary():
     before = state.c.coeffs.copy()
     pnp_step(state, dt)
     assert np.abs(state.c.coeffs - before).max() < 1e-8
+
+
+def _biased(name, n, bias):
+    """The registry problem with Poisson data psi = 0 on the left side,
+    psi = bias on the right side and zero Neumann data elsewhere."""
+    problem, _ = build_benchmark(name, n)
+    sides = {s: neumann() for pair in SIDES[:problem.mesh.dim] for s in pair}
+    sides["left"], sides["right"] = dirichlet(), dirichlet(lambda t, *s: bias)
+    return replace(problem, poisson_bc=PoissonBC(sides))
+
+
+@pytest.mark.parametrize("rk", [1, 2])
+@pytest.mark.parametrize("name, n", [("example2", 10), ("example4", 8)], ids=["1d", "2d"])
+def test_charged_steady_state_is_a_fixed_point_to_roundoff(name, n, rk):
+    # the Boltzmann state of charges +1 and -1 under a bias of 2, where psi
+    # reaches about 1.9: one step at mesh ratio mu = dt sum_d 1/h_d^2 <= mu0
+    # moves it by at most STEADY_STEP_K eps mu max|c|, and 1000 steps at
+    # mu0/2 by at most STEADY_DRIFT_K eps max|c|
+    state = init(_biased(name, n, 2.0), SimConfig(T=1.0, mu=0.01, rk=rk))
+    change = boltzmann_state(state)
+    steady, prep = state.c, state.prepared_stage()
+    assert change <= 4 * EPS * np.abs(prep.psi.coeffs).max()
+    assert np.abs(prep.psi.coeffs).max() > 1.5
+    scale = np.abs(steady.coeffs).max()
+    inv_h2 = sum(h ** -2 for h in state.mesh.spacing)
+    for frac in (0.1, 0.5, 1.0):
+        state.c, state.t = steady, 0.0
+        mu = frac * prep.mu0
+        pnp_step(state, mu / inv_h2)
+        assert np.abs(state.c.coeffs - steady.coeffs).max() <= STEADY_STEP_K * EPS * mu * scale
+    state.c, state.t = steady, 0.0
+    for _ in range(1000):
+        pnp_step(state, 0.5 * prep.mu0 / inv_h2)
+    assert np.abs(state.c.coeffs - steady.coeffs).max() <= STEADY_DRIFT_K * EPS * scale
 
 
 @pytest.mark.parametrize("rk", [1, 2])

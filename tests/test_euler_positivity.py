@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pnpdg.basis import basis_for, legendre_vals, tables_for
+from pnpdg.basis import basis_for, legendre_vals
 from pnpdg.exceptions import InadmissibleCellError
 from pnpdg.field import Field, FluxParams
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
@@ -72,7 +72,7 @@ def _euler_averages(g, w, params, dt):
     """Cell averages before and after one Euler step of every density whose
     weighted projection is g."""
     mesh = g.mesh
-    tb = tables_for(mesh)
+    tb = basis_for(mesh)
     before = (w.vol * (g.coeffs @ tb.vol_flat.T)) @ tb.mean_vol
     inc = apply_mass_inverse(mesh, basis_for(mesh), np_rhs(g, w, params))
     return before, before + dt * inc[..., 0]

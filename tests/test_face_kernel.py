@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import ddg_flux, face_trace
-from pnpdg.basis import RULE, basis_for, tables_for
+from pnpdg.basis import RULE, basis_for
 from pnpdg.field import Field, FluxParams
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 
@@ -30,7 +30,7 @@ def _interior_faces(mesh, d):
                          ids=["beta4-1_6", "beta1.5-0.23"])
 def test_face_kernel_matches_per_face_oracle(dim, params, rng):
     mesh = build_mesh_1d(-0.5, 1.2, 7) if dim == 1 else build_mesh_2d(1.3, 0.7, 5, 4)
-    tb = tables_for(mesh)
+    tb = basis_for(mesh)
     for _ in range(5):
         f = Field(mesh, rng.normal(size=(mesh.n_cells, basis_for(mesh).nb)))
         c = f.coeffs.reshape(mesh.grid + (-1,))
@@ -50,7 +50,7 @@ def test_face_kernel_matches_per_face_oracle(dim, params, rng):
 def test_face_kernel_takes_leading_axes(rng):
     # a species axis in front gives each species' single-field flux
     mesh = build_mesh_2d(1.0, 1.0, 4, 3)
-    tb = tables_for(mesh)
+    tb = basis_for(mesh)
     c = rng.normal(size=(2,) + mesh.grid + (6,))
     for ft, h in zip(tb.faces, mesh.spacing):
         batched = ft.flux(c, h, FluxParams(4.0, 1 / 6))

@@ -3,17 +3,17 @@ import pytest
 
 from oracles import (FaceTrace, ddg_flux, eval_field, eval_grad, eval_second, face_trace,
                      weight_from_values)
-from pnpdg.basis import BASIS_1D, BASIS_2D, RULE, tables_for
+from pnpdg.basis import BASIS_1D, BASIS_2D, RULE, basis_for
 from pnpdg.field import Field, FluxParams, l1_error, project_l2, weighted_cell_average
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 
 
 def test_basis_orthogonality():
     # Gram matrices diagonal under the reference measure
-    t1 = tables_for(build_mesh_1d(0, 1, 2))
+    t1 = basis_for(build_mesh_1d(0, 1, 2))
     G = np.einsum("q,qm,ql->ml", RULE.weights, t1.vol, t1.vol)
     assert np.max(np.abs(G - np.diag(BASIS_1D.gram))) < 1e-14
-    t2 = tables_for(build_mesh_2d(1, 1, 2, 2))
+    t2 = basis_for(build_mesh_2d(1, 1, 2, 2))
     w2 = RULE.weights[:, None] * RULE.weights[None, :]
     G = np.einsum("qs,qsm,qsl->ml", w2, t2.vol, t2.vol)
     assert np.max(np.abs(G - np.diag(BASIS_2D.gram))) < 1e-14

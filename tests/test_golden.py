@@ -1,4 +1,4 @@
-"""Golden outputs: five short runs against the files in tests/golden/.
+"""Golden outputs: six short runs against the files in tests/golden/.
 
 `MODE` is "bitwise" unless a change claims to move results by roundoff
 only; then it is "roundoff", and every column must lie within
@@ -37,6 +37,14 @@ def test_golden_outputs(name):
             dev = deviation(value, stored[key])
             assert dev <= ROUNDOFF_FACTOR * stored[f"floor_{key}"], \
                 f"{key}: deviation {dev:.3e}, floor {float(stored[f'floor_{key}']):.3e}"
+
+
+def test_adaptive_case_halves_its_steps():
+    # the one adaptive-mode case: its stored steps, which the run must match,
+    # are shorter than the configured dt
+    dt = CASES["example4-adaptive"][3]["dt"]
+    steps = np.diff(np.load(GOLDEN / "example4-adaptive.npz")["t"])
+    assert steps.min() < 0.75 * dt
 
 
 def test_neutral_state_stays_exact():

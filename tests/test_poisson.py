@@ -7,8 +7,8 @@ from pnpdg.benchmarks import build_benchmark
 from pnpdg.exceptions import NumericalFatalError
 from pnpdg.field import Field, FluxParams, l1_error, project_l2
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.poisson import (BoundaryCondition, LoadSpec, PoissonBC, assemble_load,
-                           assemble_operator, dirichlet, gamma_d, neumann)
+from pnpdg.poisson import (BoundaryCondition, PoissonBC, assemble_load, assemble_operator,
+                           dirichlet, gamma_d, neumann)
 
 P16 = FluxParams(4.0, 1 / 6)
 
@@ -90,7 +90,7 @@ def test_load_uniform_density():
     m = build_mesh_1d(0, 1, 4)
     op = assemble_operator(m, P16, bc_dir_both())
     c = Field(m, np.tile([1.0, 0, 0], (4, 1)))
-    b = assemble_load(op, c.coeffs[None], LoadSpec([1.0]), t=0.0).reshape(4, 3)
+    b = assemble_load(op, c.coeffs[None], [1.0], t=0.0).reshape(4, 3)
     np.testing.assert_allclose(b[:, 0], m.spacing[0], atol=1e-15)
     assert np.max(np.abs(b[:, 1:])) < 1e-15
 
@@ -99,7 +99,7 @@ def test_neutral_densities_give_zero_potential():
     m = build_mesh_1d(0, 1, 5)
     op = assemble_operator(m, P16, bc_dir_both())
     c = Field(m, np.tile([2.0, 0, 0], (5, 1)))
-    b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), LoadSpec([1.0, -1.0]), t=0.0)
+    b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), [1.0, -1.0], t=0.0)
     psi = op.solve(b)
     assert np.max(np.abs(psi.coeffs)) < 1e-11
 
@@ -110,7 +110,7 @@ def test_manufactured_convergence_1d():
     for n in (10, 20, 40):
         m = build_mesh_1d(0, 1, n)
         op = assemble_operator(m, P16, bc_dir_both())
-        b = assemble_load(op, [], LoadSpec([], rho0=lambda x: np.pi**2 * np.sin(np.pi * x)))
+        b = assemble_load(op, [], [], rho0=lambda x: np.pi**2 * np.sin(np.pi * x))
         errs.append(l1_error(op.solve(b), exact))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders > 2.8)
@@ -125,7 +125,7 @@ def test_example1_poisson_convergence():
         op = assemble_operator(m, P16, bc_dir_neu(lambda tt: -np.exp(-tt) / 60.0))
         c1 = project_l2(lambda x: x**2 * (1 - x)**2, m)
         c2 = project_l2(lambda x: x**2 * (1 - x)**3, m)
-        b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), LoadSpec([1.0, -1.0]), t=t)
+        b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), [1.0, -1.0], t=t)
         psi = op.solve(b)
         errs.append(l1_error(psi, lambda x: -(10 * x**7 - 28 * x**6 + 21 * x**5) / 420.0))
     ratio = errs[0] / errs[1]
@@ -153,8 +153,8 @@ def test_stability_constant_under_perturbation(rng):
     ratios = []
     for delta in (1e-2, 5e-3):
         c1 = Field(m, c0.coeffs + delta * direction)
-        b0 = assemble_load(op, c0.coeffs[None], LoadSpec([1.0]), t=0.0)
-        b1 = assemble_load(op, c1.coeffs[None], LoadSpec([1.0]), t=0.0)
+        b0 = assemble_load(op, c0.coeffs[None], [1.0], t=0.0)
+        b1 = assemble_load(op, c1.coeffs[None], [1.0], t=0.0)
         dpsi = op.solve(b1).coeffs - op.solve(b0).coeffs
         ratios.append(np.linalg.norm(dpsi) / (delta * np.linalg.norm(direction)))
     assert abs(ratios[0] - ratios[1]) < 1e-8 * ratios[0]
@@ -177,7 +177,7 @@ def test_pure_neumann_requires_gauge():
     bc = PoissonBC({"left": neumann(), "right": neumann()}, zero_mean_gauge=True)
     op = assemble_operator(m, P16, bc)
     c = Field(m, np.tile([1.0, 0, 0], (4, 1)))
-    b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), LoadSpec([1.0, -1.0]), t=0.0)
+    b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), [1.0, -1.0], t=0.0)
     psi = op.solve(b)
     assert np.max(np.abs(psi.coeffs)) < 1e-12
 
@@ -189,8 +189,7 @@ def test_gauged_solution_has_zero_mean():
     # neutral-in-total but nonuniform load
     c1 = project_l2(lambda x: 1 + np.pi * np.sin(np.pi * x), m)
     c2 = project_l2(lambda x: 4 - 2 * x, m)
-    b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), LoadSpec([1.0, -1.0]),
-                      t=0.0)
+    b = assemble_load(op, np.stack([c1.coeffs, c2.coeffs]), [1.0, -1.0], t=0.0)
     psi = op.solve(b)
     assert abs(psi.coeffs[:, 0].sum() * m.spacing[0]) < 1e-12
     resid = op.matrix @ psi.coeffs.ravel() - b
@@ -230,7 +229,8 @@ def test_example2_gauge_solve_residual(n):
     mesh = problem.mesh
     op = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc)
     cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
-    b = assemble_load(op, cs, problem.load_spec(), t=0.0)
+    b = assemble_load(op, cs, problem.charges, t=0.0, rho0=problem.rho0,
+                      source=problem.poisson_source)
     b[::3] -= b[::3].mean()   # exactly neutral, so the gauge multiplier is zero
     psi = op.solve(b).coeffs
     assert np.abs(op.matrix @ psi.ravel() - b).max() <= 1e-12 * np.abs(b).max()
@@ -247,7 +247,7 @@ def test_density_load_is_diagonal_mass(name):
                     for s, b in problem.poisson_bc.sides.items()})
     op = assemble_operator(mesh, problem.poisson_params, bc)
     cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
-    b = assemble_load(op, cs, LoadSpec(problem.charges), t=0.0)
+    b = assemble_load(op, cs, problem.charges, t=0.0)
     quad = mesh.quadrature
     ref = quad.load(quad.values(sum(q * c for q, c in zip(problem.charges, cs))))
     assert np.abs(b - ref.ravel()).max() <= 1e-15 * np.abs(ref).max()

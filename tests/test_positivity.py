@@ -80,6 +80,15 @@ def test_overflow_guard():
         build_weight(psi, 1.0)
 
 
+@pytest.mark.parametrize("value, q", [(np.nan, 1.0), (np.inf, 0.0)], ids=["nan", "inf-q0"])
+def test_overflow_guard_rejects_nonfinite_psi(value, q):
+    # the guard's |q psi| is NaN here, and NaN > limit is False
+    psi = Field(build_mesh_1d(0, 1, 4), np.zeros((4, 3)))
+    psi.coeffs[2, 0] = value
+    with pytest.raises(OverflowGuardError, match="psi is not finite"):
+        build_weight(psi, q)
+
+
 def test_weighted_projection_identity_and_scaling(rng):
     m = build_mesh_1d(0, 1, 5)
     c = Field(m, rng.normal(size=(5, 3)))
@@ -97,8 +106,7 @@ def test_weighted_projection_residual():
     psi = project_l2(lambda x: x, m)
     w = build_weight(psi, 1.0)
     g = weighted_projection(c, w)
-    from pnpdg.basis import tables_for
-    t = tables_for(m)
+    t = c.basis
     gm = (g.coeffs @ t.vol.T) * w.vol
     res = np.einsum("q,nq,qm->nm", RULE.weights, gm, t.vol) - c.coeffs * c.basis.gram
     assert np.max(np.abs(res)) < 1e-12
@@ -118,7 +126,7 @@ def test_weighted_projection_residual_high_contrast(dim, rng):
     # sum_l |W_rl| |g_l|, which bounds the error of a backward-stable solve
     mesh = build_mesh_1d(0, 1, 9) if dim == 1 else build_mesh_2d(1.0, 0.6, 5, 3)
     quad = mesh.quadrature
-    vals, wq = quad.tables.vol_flat, quad.tables.w_flat
+    vals, wq = basis_for(mesh).vol_flat, basis_for(mesh).w_flat
     for _ in range(40):
         w = build_weight(contrast_psi(mesh, rng), rng.choice([-1.0, 1.0]))
         c = Field(mesh, rng.normal(size=(mesh.n_cells, vals.shape[1])))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pnpdg.basis import RULE, tables_for
+from pnpdg.basis import RULE, basis_for
 from pnpdg.mesh import build_mesh_2d
 
 # the rule's nodes and weights in increasing node order, as hex doubles; every
@@ -55,7 +55,7 @@ def test_exactness_to_degree_2n_minus_1(m):
 def test_tensor_rule_exact_in_two_directions():
     # the cell tables' 2D weights, over the node grid in their order, are
     # exact on xi^a eta^b for a, b <= 2n - 1
-    tables = tables_for(build_mesh_2d(1, 1, 2, 2))
+    tables = basis_for(build_mesh_2d(1, 1, 2, 2))
     xi, eta = (x.ravel() for x in np.meshgrid(RULE.nodes, RULE.nodes, indexing="ij"))
     np.testing.assert_array_equal(tables.vol_flat[:, 1:3], np.stack([xi, eta], -1))
     for a in range(2 * RULE.n):

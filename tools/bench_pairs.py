@@ -36,7 +36,7 @@ def _git(*args):
                           text=True).stdout.strip()
 
 
-def _export(rev, dest):
+def export(rev, dest):
     """The committed tree of `rev` in `dest`; returns its identifiers."""
     dest.mkdir()
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
@@ -122,7 +122,7 @@ def main(argv=None):
     out = ROOT / f"BENCH_{args.topic}.json"
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {s: Path(tmp) / s for s in SIDES}
-        commits = {s: _export(rev, trees[s]) for s, rev in zip(SIDES, (args.parent, args.change))}
+        commits = {s: export(rev, trees[s]) for s, rev in zip(SIDES, (args.parent, args.change))}
         record = {"topic": args.topic, "commits": commits, "seconds": seconds,
                   "started": time.strftime("%Y-%m-%dT%H:%M:%S"), "workloads": {}}
         environment = None
