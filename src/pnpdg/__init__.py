@@ -8,13 +8,13 @@ from .driver import (DiagnosticsRecord, ProblemSpec, RunResult, SimConfig, Speci
                      steady_state_init, total_mass)
 from .exceptions import (ConfigError, InadmissibleCellError, NumericalFatalError,
                          OverflowGuardError, PnpdgError)
-from .field import Field, FluxParams, eval_at_points, l1_error, project_l2, weighted_cell_average
+from .field import Field, FluxParams, eval_at_points, l1_error, project_l2
 from .mesh import Mesh, build_mesh_1d, build_mesh_2d
 from .poisson import (BoundaryCondition, PoissonBC, PoissonOperator, assemble_load,
                       assemble_operator, dirichlet, gamma_d, neumann)
 from .positivity import (LimiterReport, TestSet, WeightField,
                          build_test_set, build_weight, cfl_mu0, scaling_limiter,
-                         test_set_values, weighted_projection)
+                         test_set_values, weighted_cell_average, weighted_projection)
 from .transport import apply_mass_inverse, np_rhs
 
 __version__ = "0.1.0"

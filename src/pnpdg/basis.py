@@ -243,6 +243,7 @@ class CellQuadrature:
     """The scheme's tensor Gauss rule on every cell of one mesh.
 
     `points` are the physical nodes per direction, (n_cells, nq^dim) each,
+    read-only, and `mass` the diagonal of the P2 mass matrix, J * gram,
     read-only. `values` evaluates modal coefficients at the nodes,
     `integrate` sums node values over the cells, `project` maps node values
     to L2-projected coefficients and `load` gives int(v phi_m) per cell;
@@ -266,6 +267,8 @@ class CellQuadrature:
             points[-1].flags.writeable = False
         self.points = tuple(points)
         self.jac = mesh.cell_volume / 2 ** dim
+        self.mass = self.jac * self.basis.gram
+        self.mass.flags.writeable = False
         others = [[i for i in range(dim) if i != d] for d in range(dim)]
         self.face_weights = tuple(f.weights * math.prod(h[i] / 2.0 for i in o)
                                   for f, o in zip(self.basis.faces, others))

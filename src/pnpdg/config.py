@@ -139,12 +139,6 @@ def _validate(cfg, dt_line=None, mu_line=None):
     if cfg.dt is not None and cfg.mu is not None:
         raise ConfigError("give either dt or mu, not both", dt_line or mu_line)
     check_time_settings(cfg.T, cfg.dt, cfg.mu, cfg.rk, cfg.cfl, cfg.cadence)
-    if cfg.np_beta1 is not None and not cfg.override_admissibility:
-        if not (0.125 <= cfg.np_beta1 <= 0.25):
-            raise ConfigError(
-                f"np_beta1 = {cfg.np_beta1} outside the admissible range [1/8, 1/4]; "
-                "set override_admissibility = true to run without positivity guarantees"
-            )
 
 
 def serialize_config(cfg):
@@ -197,12 +191,12 @@ def resolve(cfg, n=None):
             cfg.poisson_beta1 if cfg.poisson_beta1 is not None
             else problem.poisson_params.beta1,
         )
+    dt, mu = cfg.dt, cfg.mu
+    if dt is None and mu is None:
+        dt, mu = defaults.get("dt"), defaults.get("mu")
     sim = SimConfig(
         T=cfg.T if cfg.T is not None else defaults["T"],
-        dt=cfg.dt if cfg.dt is not None else (None if cfg.mu is not None
-                                              else defaults.get("dt")),
-        mu=cfg.mu if cfg.mu is not None else (None if cfg.dt is not None
-                                              else defaults.get("mu")),
+        dt=dt, mu=mu,
         rk=cfg.rk,
         limiter=cfg.limiter,
         cfl_mode=cfg.cfl,

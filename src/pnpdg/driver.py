@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_for
 from .exceptions import ConfigError, NumericalFatalError
 from .field import Field, FluxParams, l1_error, project_l2
 from .poisson import PoissonBC, assemble_load, assemble_operator
@@ -94,8 +93,8 @@ class ProblemSpec:
 @dataclass
 class SimConfig:
     T: float
-    dt: float = None
-    mu: float = None          # mesh ratio dt/h^2; used when dt is None
+    dt: float = None          # give exactly one of dt and mu
+    mu: float = None          # sets dt = mu min(h)^2; a stage checks sum_d dt/h_d^2 <= mu0
     rk: int = 2
     limiter: bool = True
     cfl_mode: str = "monitor"  # monitor | strict | adaptive
@@ -104,13 +103,16 @@ class SimConfig:
 
     def __post_init__(self):
         check_time_settings(self.T, self.dt, self.mu, self.rk, self.cfl_mode, self.cadence)
+        if self.T is None:
+            raise ConfigError("t_final is required")
+        if (self.dt is None) == (self.mu is None):
+            raise ConfigError("give exactly one of dt and mu")
 
     def resolve_dt(self, mesh):
         if self.dt is not None:
             return float(self.dt)
-        mu = 0.01 if self.mu is None else self.mu
         h = min(mesh.spacing)
-        return mu * h * h
+        return self.mu * h * h
 
 
 @dataclass
@@ -242,7 +244,7 @@ def _advance(state, c, prep, dt):
     pb = state.problem
     mesh = pb.mesh
     rhs = np_rhs(prep.g, prep.weight, pb.np_params, source=state.sources, t=prep.t)
-    return Field(mesh, c.coeffs + dt * apply_mass_inverse(mesh, basis_for(mesh), rhs))
+    return Field(mesh, c.coeffs + dt * apply_mass_inverse(mesh, rhs))
 
 
 def _check_cfl(state, prep, dt, halvings, stage):

@@ -1,9 +1,9 @@
-"""Piecewise-P2 modal fields: projection, evaluation, weighted averages, norms.
+"""Piecewise-P2 modal fields: projection, evaluation, norms.
 
 A Field stores one coefficient vector per cell, shape (n_cells, nb). A
 field may carry leading axes, (..., n_cells, nb): the time loop holds all
 species of one stage as a single (m_species, n_cells, nb) field, and
-`cell_averages` and `weighted_cell_average` act per leading index.
+`cell_averages` acts per leading index.
 Values at quadrature nodes, integrals and projections go through the
 mesh's cached `CellQuadrature`.
 """
@@ -61,23 +61,6 @@ def eval_at_points(field, *x):
     """Evaluate at arbitrary physical points (used for reference-field errors)."""
     cells, xi = field.mesh.locate(*x)
     return np.einsum("...m,...m->...", field.coeffs[cells], field.basis.vals(*xi))
-
-
-def weighted_cell_average(field, weight):
-    """M-weighted mean per cell: int(M w) / int(M), by the shared quadrature.
-
-    `weight` is a WeightField on the same mesh; its volume values define
-    the quadrature and int(M) comes from its zeroth line moments. A
-    constant weight reduces to the plain average. Leading axes of the field
-    and the weight broadcast: the result has shape (..., n_cells).
-    """
-    basis = field.basis
-    num = (weight.vol * field.mesh.quadrature.values(field.coeffs)) @ basis.mean_vol
-    # the zeroth moments of the x lines, averaged over the cross direction
-    den = weight.lines[..., :len(basis.mean_x_lines), 0] @ basis.mean_x_lines
-    if (den <= 0).any():
-        raise ValueError("nonpositive weight integral in weighted_cell_average")
-    return num / den
 
 
 def l1_error(field, reference, t=None):

@@ -11,11 +11,12 @@ quadratic form has the same penalty structure as the one-sided flux
 pairing, so coercivity holds for beta0 above the usual threshold gamma_d.
 Dirichlet faces carry penalty/consistency terms
 
-    bb/h_e u v - dn(u) v - u dn(v),    bb = max(beta0, 2*gamma_d(k, 0)),
+    bb/h_e u v - dn(u) v - u dn(v),    bb = max(beta0, 2*gamma_d(0)),
 
 with the floor applied because the plain boundary penalty is exactly
-critical at beta0 = k^2 (the assembled matrix becomes singular there).
-Neumann faces contribute only load terms. The matrix is assembled once,
+critical at beta0 = K^2 (the assembled matrix becomes singular there).
+Neumann faces contribute only load terms. A problem needs the zero-mean
+gauge exactly when it has no Dirichlet side. The matrix is assembled once,
 as CSC, and is symmetric bit for bit, with the zero-mean-gauge border or
 without: every dense block is a sum of Q + Q^T terms and no two blocks
 share an entry. It is factorized as assembled (minimum degree on A + A^T
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .basis import basis_for
+from .basis import K, basis_for
 from .exceptions import NumericalFatalError
 from .field import Field
 from .mesh import SIDES
@@ -45,12 +46,11 @@ from .mesh import SIDES
 log = logging.getLogger("pnpdg")
 
 
-def gamma_d(k, beta1):
-    """Coercivity threshold for the jump penalty: k^2 (1 - b1(k^2-1) + b1^2 (k^2-1)^2 / 3)."""
-    if k not in (1, 2):
-        raise ValueError(f"unsupported polynomial degree k={k}")
-    m = k * k - 1
-    return k * k * (1.0 - beta1 * m + (beta1 * beta1 / 3.0) * m * m)
+def gamma_d(beta1):
+    """Coercivity threshold for the jump penalty at the basis degree K:
+    K^2 (1 - b1(K^2-1) + b1^2 (K^2-1)^2 / 3)."""
+    m = K * K - 1
+    return K * K * (1.0 - beta1 * m + (beta1 * beta1 / 3.0) * m * m)
 
 
 @dataclass
@@ -78,14 +78,14 @@ class PoissonBC:
     sides: dict
     zero_mean_gauge: bool = False
 
-    def dirichlet_sides(self):
-        return [s for s, bc in self.sides.items() if bc.kind == "dirichlet"]
-
     def validate(self, mesh):
         want = {name for pair in SIDES[:mesh.dim] for name in pair}
         if set(self.sides) != want:
             raise ValueError(f"boundary sides {sorted(self.sides)} != expected {sorted(want)}")
-        if not self.dirichlet_sides() and not self.zero_mean_gauge:
+        dirichlet = any(bc.kind == "dirichlet" for bc in self.sides.values())
+        if dirichlet and self.zero_mean_gauge:
+            raise ValueError("zero_mean_gauge with a Dirichlet side, which fixes psi already")
+        if not dirichlet and not self.zero_mean_gauge:
             raise NumericalFatalError(
                 "pure-Neumann Poisson problem without zero_mean_gauge; "
                 "the operator would be singular"
@@ -126,13 +126,13 @@ class PoissonOperator:
 def assemble_operator(mesh, params, bc):
     """Assemble and factorize the Poisson DDG matrix for the given mesh/BC."""
     bc.validate(mesh)
-    thresh = gamma_d(2, params.beta1)
+    thresh = gamma_d(params.beta1)
     if params.beta0 <= thresh:
         log.warning(
             "Poisson beta0=%g is at or below the interior coercivity threshold "
             "gamma_d(beta1)=%g; the bound is sufficient only, continuing", params.beta0, thresh,
         )
-    bb = max(params.beta0, 2.0 * gamma_d(2, 0.0))
+    bb = max(params.beta0, 2.0 * gamma_d(0.0))
     quad = mesh.quadrature
     basis = basis_for(mesh)
     nb = basis.nb
@@ -171,8 +171,7 @@ def assemble_operator(mesh, params, bc):
     cols = np.broadcast_to(nb * col_cells[:, None, None] + shift, vals.shape)
     nd = nb * mesh.n_cells
     A = sps.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nd, nd))
-    gauge = bc.zero_mean_gauge and not bc.dirichlet_sides()
-    return PoissonOperator(mesh, A, boundary_rows, gauge)
+    return PoissonOperator(mesh, A, boundary_rows, bc.zero_mean_gauge)
 
 
 def _interior_face_block(ft, h, fw, params, nb):
@@ -195,10 +194,9 @@ def assemble_load(op, densities, charges, t=0.0, rho0=None, source=None):
     (m_species, n_cells, nb), of the given `charges`, the fixed charge
     rho0(x[, y]), the manufactured source f(t, x[, y]) and the boundary data."""
     quad = op.mesh.quadrature
-    gram = basis_for(op.mesh).gram
     charge = sum((q * c for q, c in zip(charges, densities)),
-                 np.zeros((op.mesh.n_cells, len(gram))))
-    b = (quad.jac * gram) * charge
+                 np.zeros((op.mesh.n_cells, len(quad.mass))))
+    b = quad.mass * charge
     if rho0 is not None:
         b += quad.load(rho0(*quad.points))
     if source is not None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import basis_for
 from .exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
-from .field import Field, weighted_cell_average
+from .field import Field
 
 OVERFLOW_LIMIT = 700.0  # |q psi| beyond this overflows double-precision exp
 
@@ -59,6 +59,23 @@ class WeightField:
         self.vol = vol
         self.faces = faces
         self.lines = (vol @ basis_for(mesh).line_mom).reshape(vol.shape[:-1] + (-1, 3))
+
+
+def weighted_cell_average(field, weight):
+    """M-weighted mean per cell: int(M w) / int(M), by the shared quadrature.
+
+    `weight` is a WeightField on the same mesh; its volume values define
+    the quadrature and int(M) comes from its zeroth line moments. A
+    constant weight reduces to the plain average. Leading axes of the field
+    and the weight broadcast: the result has shape (..., n_cells).
+    """
+    basis = field.basis
+    num = (weight.vol * field.mesh.quadrature.values(field.coeffs)) @ basis.mean_vol
+    # the zeroth moments of the x lines, averaged over the cross direction
+    den = weight.lines[..., :len(basis.mean_x_lines), 0] @ basis.mean_x_lines
+    if (den <= 0).any():
+        raise ValueError("nonpositive weight integral in weighted_cell_average")
+    return num / den
 
 
 def build_weight(psi, q):

@@ -51,7 +51,7 @@ def np_rhs(g, weight, params, source=None, t=0.0):
     return rhs
 
 
-def apply_mass_inverse(mesh, basis, rhs):
+def apply_mass_inverse(mesh, rhs):
     """Invert the diagonal unweighted mass matrix on weak-form increments."""
-    return rhs / (mesh.cell_volume / 2 ** mesh.dim * basis.gram)
+    return rhs / mesh.quadrature.mass
 

@@ -112,7 +112,7 @@ class _Rounded:
             quad = g.mesh.quadrature
             for i, f in enumerate(source):
                 if f is not None:
-                    rhs[i] += self._round(quad.load(f(t, *quad.points)))
+                    rhs[i] += self._round(quad.load_source(f, t))
             return rhs
 
         driver.assemble_operator, driver.assemble_load, driver.np_rhs = (

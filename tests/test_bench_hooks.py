@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from pnpdg.cli import main
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -27,3 +29,19 @@ tracer = _load_tracer()
 def test_traced_attribute_resolves(owner, attr):
     obj = tracer._resolve(owner)
     assert callable(getattr(obj, attr, None)), f"{owner}.{attr} is missing"
+
+
+def test_traced_run_reaches_every_layer(tmp_path):
+    # a wrapper on a name the solver no longer calls would leave its
+    # per-layer metrics at 0 without failing the traced run
+    cfg = tmp_path / "ex1.cfg"
+    cfg.write_text("[benchmark]\nid = example1\n[mesh]\nsizes = 5\n[time]\nt_final = 5e-4\n")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rc, _ = t.run_root(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        t.restore()
+    assert rc == 0
+    assert t.calls["driver.pnp_step"] == 2
+    assert {key: t.calls[key] for key in tracer.TIMED if t.calls[key] == 0} == {}

@@ -4,7 +4,7 @@ import pytest
 from pnpdg.cli import main
 from pnpdg.config import config_sizes, parse_config, resolve, serialize_config
 from pnpdg.csvio import observed_orders
-from pnpdg.driver import run
+from pnpdg.driver import init, run
 from pnpdg.exceptions import ConfigError
 
 MINIMAL = """
@@ -86,12 +86,34 @@ def test_empty_config_requires_benchmark():
 
 
 def test_beta1_outside_range_rejected():
+    # the range is checked once, by init, after every override is applied
     text = "[benchmark]\nid = example1\n[scheme]\nnp_beta1 = 0.04\n"
-    with pytest.raises(ConfigError) as e:
-        parse_config(text)
-    assert "[1/8, 1/4]" in str(e.value)
+    with pytest.raises(ConfigError, match="1/8 <= beta1 <= 1/4"):
+        init(*resolve(parse_config(text)))
     ok = parse_config(text + "override_admissibility = true\n")
     assert ok.np_beta1 == 0.04
+    assert run(*resolve(ok)).state.t == pytest.approx(0.01)
+
+
+def test_cli_override_flag_admits_config_beta1(tmp_path, capsys):
+    out = tmp_path / "conv"
+    cfg = _write(tmp_path, "b1.cfg", f"""
+[benchmark]
+id = example1
+[mesh]
+sizes = 5 10
+[scheme]
+np_beta1 = {1 / 24!r}
+[time]
+t_final = 0.002
+[output]
+dir = {out}
+""")
+    assert main(["convergence", "--config", cfg]) == 2
+    assert "1/8 <= beta1 <= 1/4" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["convergence", "--config", cfg, "--override-admissibility"]) == 0
+    assert (out / "errors.csv").exists()
 
 
 def test_dt_and_mu_conflict():

@@ -26,13 +26,13 @@ STEADY_DRIFT_K = 10
 
 def test_example2_initial_masses():
     problem, _ = build_benchmark("example2", 10)
-    state = init(problem, SimConfig(T=0.1))
+    state = init(problem, SimConfig(T=0.1, mu=0.01))
     assert np.abs(np.array(total_mass(state)) - 3.0).max() < 1e-12
 
 
 def test_constant_initial_data_projection_exact():
     problem, _ = build_benchmark("neutral", 8)
-    state = init(problem, SimConfig(T=0.1))
+    state = init(problem, SimConfig(T=0.1, mu=0.01))
     assert state.c.coeffs.shape == (2, 8, 3)
     assert np.max(np.abs(state.c.coeffs[..., 0] - 3.0)) < 1e-13
     assert np.max(np.abs(state.c.coeffs[..., 1:])) < 1e-13
@@ -96,11 +96,11 @@ def test_steady_state_init_uncharged_species(rng):
 
 def test_free_energy_values():
     problem, _ = build_benchmark("neutral", 8)
-    state = init(problem, SimConfig(T=0.1))
+    state = init(problem, SimConfig(T=0.1, mu=0.01))
     # c1 = c2 = 3, psi = 0: E = 2 * 3 ln 3 over the unit interval
     assert abs(free_energy(state) - 6 * np.log(3.0)) < 1e-12
     problem.species = [problem.species[0]]
-    state = init(problem, SimConfig(T=0.1))
+    state = init(problem, SimConfig(T=0.1, mu=0.01))
     state.c = Field(problem.mesh, project_l2(lambda x: 1.0 + 0 * x, problem.mesh).coeffs[None])
     psi0 = zero_field(problem.mesh)
     assert abs(free_energy(state, psi=psi0)) < 1e-12
@@ -108,7 +108,7 @@ def test_free_energy_values():
 
 def test_run_zero_final_time():
     problem, _ = build_benchmark("neutral", 8)
-    res = run(problem, SimConfig(T=0.0))
+    res = run(problem, SimConfig(T=0.0, mu=0.01))
     assert len(res.diagnostics) == 1
     assert res.diagnostics[0].t == 0.0
 
@@ -129,14 +129,14 @@ def test_out_of_range_parameters_need_override():
     problem, _ = build_benchmark("example1", 5)
     problem.np_params = problem.np_params.__class__(4.0, 1 / 24)
     with pytest.raises(ConfigError):
-        init(problem, SimConfig(T=0.01))
-    state = init(problem, SimConfig(T=0.01, override_admissibility=True))
+        init(problem, SimConfig(T=0.01, mu=0.01))
+    state = init(problem, SimConfig(T=0.01, mu=0.01, override_admissibility=True))
     assert state is not None
 
 
 def test_strict_cfl_raises():
     problem, _ = build_benchmark("example2", 8)
-    state = init(problem, SimConfig(T=1.0, cfl_mode="strict"))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="strict"))
     with pytest.raises(NumericalFatalError):
         pnp_step(state, 1.0)   # mesh ratio far above the bound
 
@@ -147,7 +147,8 @@ def test_no_cfl_check_outside_the_positivity_range(mode, caplog):
     # any in-range bound neither raises, shrinks the (Euler) step nor warns
     problem, _ = build_benchmark("example2", 8)
     problem.np_params = problem.np_params.__class__(4.0, 1 / 24)
-    state = init(problem, SimConfig(T=1.0, rk=1, cfl_mode=mode, override_admissibility=True))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, rk=1, cfl_mode=mode,
+                                    override_admissibility=True))
     assert np.isnan(state.prepared_stage().mu0)
     dt = 10.0 * state.mesh.spacing[0] ** 2
     with caplog.at_level(logging.INFO, logger="pnpdg"):
@@ -159,7 +160,7 @@ def test_no_cfl_check_outside_the_positivity_range(mode, caplog):
 
 def test_adaptive_cfl_reduces_step():
     problem, _ = build_benchmark("example2", 8)
-    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     t_before = state.t
     pnp_step(state, 1.0)
     assert 0 < state.t - t_before < 1.0
@@ -190,6 +191,18 @@ def test_sim_config_rejects_bad_scheme_settings(kwargs, match):
         SimConfig(T=0.1, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(T=None, mu=0.01), "t_final is required"),
+    (dict(T=0.1, dt=1e-5, mu=0.01), "exactly one of dt and mu"),
+    (dict(T=0.1), "exactly one of dt and mu"),
+], ids=["no-T", "dt-and-mu", "neither"])
+def test_sim_config_requires_t_and_one_step_setting(kwargs, match):
+    # the parser rejects each of these; a library caller must not get a
+    # TypeError inside the run, a silently dropped mu or a made-up step size
+    with pytest.raises(ConfigError, match=match):
+        SimConfig(**kwargs)
+
+
 def test_sim_config_accepts_numpy_integers():
     problem, _ = build_benchmark("example2", 6)
     res = run(problem, SimConfig(T=4e-3, dt=1e-3, rk=np.int64(1), cadence=np.int32(2)))
@@ -201,7 +214,7 @@ def test_adaptive_cfl_halvings_are_capped(shrink, ok):
     # mu0 set so that exactly MAX_HALVINGS halvings reach it (shrink 1), or
     # just one more would; neither loop runs without end
     problem, _ = build_benchmark("example2", 8)
-    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     dt = 1e-3
     prep = state.prepared_stage()
     prep.mu0 = shrink * dt / state.mesh.spacing[0] ** 2 * 0.5 ** MAX_HALVINGS
@@ -382,7 +395,7 @@ def test_registry_sources_are_separable(name, kwargs):
 
 def test_zero_step_is_identity():
     problem, _ = build_benchmark("example2", 6)
-    state = init(problem, SimConfig(T=0.1))
+    state = init(problem, SimConfig(T=0.1, mu=0.01))
     before = state.c.coeffs.copy()
     pnp_step(state, 0.0)
     assert state.t == 0.0
@@ -428,7 +441,7 @@ def _bind_at_stage_2(monkeypatch, state, dt, factor):
 
 def test_strict_cfl_checks_heun_stage_2(monkeypatch):
     problem, _ = build_benchmark("example2", 8)
-    state = init(problem, SimConfig(T=1.0, cfl_mode="strict"))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="strict"))
     dt = 1e-4
     _bind_at_stage_2(monkeypatch, state, dt, 0.75)
     with pytest.raises(NumericalFatalError, match="stage 2"):
@@ -441,9 +454,9 @@ def test_adaptive_cfl_restarts_the_step_for_stage_2(monkeypatch):
     # the whole step is redone at dt/2
     dt = 1e-4
     problem, _ = build_benchmark("example2", 8)
-    plain = init(problem, SimConfig(T=1.0))
+    plain = init(problem, SimConfig(T=1.0, mu=0.01))
     pnp_step(plain, 0.5 * dt)
-    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     calls = _bind_at_stage_2(monkeypatch, state, dt, 0.75)
     pnp_step(state, dt)
     assert len(calls) == 3     # stage 1 once, stage 2 at dt and at dt/2
@@ -454,9 +467,9 @@ def test_adaptive_cfl_restarts_the_step_for_stage_2(monkeypatch):
 def test_monitor_cfl_leaves_stage_2_unchecked(monkeypatch):
     dt = 1e-4
     problem, _ = build_benchmark("example2", 8)
-    plain = init(problem, SimConfig(T=1.0))
+    plain = init(problem, SimConfig(T=1.0, mu=0.01))
     pnp_step(plain, dt)
-    state = init(problem, SimConfig(T=1.0))
+    state = init(problem, SimConfig(T=1.0, mu=0.01))
     calls = _bind_at_stage_2(monkeypatch, state, dt, 0.75)
     pnp_step(state, dt)
     assert len(calls) == 1
@@ -467,7 +480,7 @@ def test_monitor_cfl_leaves_stage_2_unchecked(monkeypatch):
 def test_adaptive_halvings_of_both_stages_share_the_cap(monkeypatch):
     # stage 1 takes all MAX_HALVINGS halvings; stage 2 then needs one more
     problem, _ = build_benchmark("example2", 8)
-    state = init(problem, SimConfig(T=1.0, cfl_mode="adaptive"))
+    state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     dt = 1e-3
     small = dt * 0.5 ** MAX_HALVINGS
     _bind_at_stage_2(monkeypatch, state, small, 0.75)

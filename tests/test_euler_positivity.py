@@ -74,7 +74,7 @@ def _euler_averages(g, w, params, dt):
     mesh = g.mesh
     tb = basis_for(mesh)
     before = (w.vol * (g.coeffs @ tb.vol_flat.T)) @ tb.mean_vol
-    inc = apply_mass_inverse(mesh, basis_for(mesh), np_rhs(g, w, params))
+    inc = apply_mass_inverse(mesh, np_rhs(g, w, params))
     return before, before + dt * inc[..., 0]
 
 

@@ -4,8 +4,9 @@ import pytest
 from oracles import (FaceTrace, ddg_flux, eval_field, eval_grad, eval_second, face_trace,
                      weight_from_values)
 from pnpdg.basis import BASIS_1D, BASIS_2D, RULE, basis_for
-from pnpdg.field import Field, FluxParams, l1_error, project_l2, weighted_cell_average
+from pnpdg.field import Field, FluxParams, l1_error, project_l2
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
+from pnpdg.positivity import weighted_cell_average
 
 
 def test_basis_orthogonality():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden.regen as regen
 import pnpdg.driver as driver
 from golden.regen import CASES, _Rounded, deviation, run_case
 from pnpdg.benchmarks import build_benchmark
@@ -66,3 +67,15 @@ def test_rounded_inputs_move_outputs():
     assert driver.assemble_operator is saved
     assert all(np.all(np.isfinite(v)) for v in cols.values())
     assert any(deviation(cols[k], exact[k]) > 0 for k in cols)
+
+
+def test_zero_rounding_reproduces_the_run(monkeypatch):
+    # the harness must perturb the solver's own arithmetic: with the rounding
+    # set to zero it reproduces the plain run byte for byte, so the floors
+    # measure roundoff on the production path (cached separable sources too)
+    exact = run_case("example1")
+    monkeypatch.setattr(regen, "HALF_EPS", 0.0)
+    with _Rounded(1):
+        cols = run_case("example1")
+    for key, value in exact.items():
+        assert value.tobytes() == cols[key].tobytes(), key

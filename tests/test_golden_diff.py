@@ -1,4 +1,4 @@
-"""The column comparison of tools/golden_diff.py on canned columns."""
+"""The column and file comparisons of tools/golden_diff.py on canned data."""
 
 import importlib.util
 import sys
@@ -43,4 +43,23 @@ def test_compare_canned_columns():
         "zero_floor": "deviation 1, floor 0",
         "dropped": "only in the base",
         "added": "only in the new run",
+    }
+
+
+def test_compare_files_canned_dirs(tmp_path):
+    base, new = tmp_path / "base", tmp_path / "new"
+    for root, files in ((base, {"conv/errors.csv": b"h,err\n0.2,1e-3\n",
+                                "conv/stdout": b"wrote <out>/errors.csv\nexit status 0\n",
+                                "run/snapshot_c1.csv": b"cell,c0\n0,1\n"}),
+                        (new, {"conv/errors.csv": b"h,err\n0.2,1.000000000001e-3\n",
+                               "conv/stdout": b"wrote <out>/errors.csv\nexit status 0\n",
+                               "run/snapshot_psi.csv": b"cell,c0\n0,1\n"})):
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+    assert golden_diff.compare_files(base, new) == {
+        "conv/errors.csv": "differs",
+        "conv/stdout": "identical",
+        "run/snapshot_c1.csv": "only in the base",
+        "run/snapshot_psi.csv": "only in the new run",
     }

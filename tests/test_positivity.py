@@ -3,13 +3,13 @@ import pytest
 
 from pnpdg.basis import RULE, basis_for
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError, OverflowGuardError
-from pnpdg.field import Field, FluxParams, project_l2, weighted_cell_average
+from pnpdg.field import Field, FluxParams, project_l2
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
 from oracles import (choose_gamma, decomposition_weights, eval_field, face_trace,
                      weight_from_values, zero_field)
 from oracles import test_interval as admissible_interval
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
-                              weighted_projection)
+                              weighted_cell_average, weighted_projection)
 from pnpdg.positivity import test_set_values as values_on_test_set
 
 PP = FluxParams(1.0, 1 / 6)
