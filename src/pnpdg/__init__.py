@@ -2,10 +2,9 @@
 
 from .basis import SeparableSource
 from .benchmarks import BENCHMARKS, build_benchmark
-from .config import RunConfig, parse_config, resolve, serialize_config
+from .config import RunConfig, parse_config, resolve
 from .driver import (DiagnosticsRecord, ProblemSpec, RunResult, SimConfig, SpeciesSpec,
-                     fit_steady_amplitudes, free_energy, init, pnp_step, run,
-                     steady_state_init, total_mass)
+                     free_energy, init, pnp_step, run, total_mass)
 from .exceptions import (ConfigError, InadmissibleCellError, NumericalFatalError,
                          OverflowGuardError, PnpdgError)
 from .field import Field, FluxParams, eval_at_points, l1_error, project_l2

@@ -8,6 +8,7 @@ time-separable (`SeparableSource`), and the test suite validates them
 against the continuous operator.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from .mesh import SIDES, build_mesh_1d, build_mesh_2d
 from .poisson import PoissonBC, dirichlet, neumann
 
 
-def _example1(n, **_):
+def _example1(n):
     mesh = build_mesh_1d(0.0, 1.0, n)
 
     def e1(t):
@@ -56,7 +57,7 @@ def _example1(n, **_):
     return problem, dict(T=0.01, mu=0.01, sizes=[5, 10, 20, 40])
 
 
-def _example2(n, **_):
+def _example2(n):
     mesh = build_mesh_1d(0.0, 1.0, n)
     species = [
         SpeciesSpec(1.0, lambda x: 1 + np.pi * np.sin(np.pi * x), name="c1"),
@@ -72,37 +73,24 @@ def _example2(n, **_):
     return problem, dict(T=0.5, mu=0.01, sizes=[5, 10, 20])
 
 
-# Example 3 solution-parameter sets (alpha, alpha1, alpha2, alpha3) and the
-# Dirichlet layout: "all" or "x" (x-faces Dirichlet, y-faces Neumann).
-# Case 3 uses the doubled amplitudes (2, 2, 1, 2)e-2: the published error
-# table scales linearly with (alpha1, alpha2, alpha3) and matches these
-# values, not the halved set.
+# Example 3 registry id -> solution parameters (alpha, alpha1, alpha2,
+# alpha3), Dirichlet layout ("all", or "x": x-faces Dirichlet, y-faces
+# Neumann) and default final time. Case 3 uses the doubled amplitudes
+# (2, 2, 1, 2)e-2: the published error table scales linearly with
+# (alpha1, alpha2, alpha3) and matches these values, not the halved set.
+# Case 4 has three amplitude sets, a to c.
 _EX3_CASES = {
-    "example3-1": ((1e-3, 1e-3, 1e-3, 1e-3), "all"),
-    "example3-2": ((1e-3, 1e-3, 1e-3, 1e-3), "x"),
-    "example3-3": ((2e-2, 2e-2, 1e-2, 2e-2), "x"),
-}
-# registry id -> its variants, for the entries that take a `variant` keyword
-VARIANTS = {
-    "example3-4": {
-        "a": (1.0, 1.0, 0.5, 1.0),
-        "b": (1.0, 1.0, 1.0, 1.0),
-        "c": (1.0, 2.0, 2.0, 2.0),
-    },
+    "example3-1": ((1e-3, 1e-3, 1e-3, 1e-3), "all", 0.001),
+    "example3-2": ((1e-3, 1e-3, 1e-3, 1e-3), "x", 0.001),
+    "example3-3": ((2e-2, 2e-2, 1e-2, 2e-2), "x", 0.001),
+    "example3-4a": ((1.0, 1.0, 0.5, 1.0), "all", 0.01),
+    "example3-4b": ((1.0, 1.0, 1.0, 1.0), "all", 0.01),
+    "example3-4c": ((1.0, 2.0, 2.0, 2.0), "all", 0.01),
 }
 
 
-def _example3(case, n, variant=None):
-    if case == "example3-4":
-        variant = variant or "a"
-        if variant not in VARIANTS[case]:
-            raise ValueError(f"example3-4 variant must be one of {sorted(VARIANTS[case])}")
-        params, bctype = VARIANTS[case][variant], "all"
-        default_T = 0.01
-    else:
-        params, bctype = _EX3_CASES[case]
-        default_T = 0.001
-    al, a1, a2, a3 = params
+def _example3(case, n):
+    (al, a1, a2, a3), bctype, default_T = _EX3_CASES[case]
     mesh = build_mesh_2d(np.pi, np.pi, n, n)
 
     def c1_ex(t, x, y):
@@ -155,13 +143,12 @@ def _example3(case, n, variant=None):
         sides["top"] = neumann(lambda t, s: -a3 * np.exp(-al * t) * np.cos(s) * np.sin(np.pi))
     problem = ProblemSpec(
         mesh, species, PoissonBC(sides), FluxParams(16.0, 1/6), FluxParams(16.0, 1/6),
-        poisson_source=f3, psi_exact=psi_ex,
-        name=case if case != "example3-4" else f"{case}{variant}",
+        poisson_source=f3, psi_exact=psi_ex, name=case,
     )
     return problem, dict(T=default_T, mu=1.6e-5, sizes=[10, 20])
 
 
-def _example4(n, **_):
+def _example4(n):
     mesh = build_mesh_2d(1.0, 1.0, n, n)
     species = [
         SpeciesSpec(1.0, lambda x, y: (np.pi * np.sin(np.pi * x)
@@ -180,7 +167,7 @@ def _example4(n, **_):
     return problem, dict(T=0.1, dt=1e-5, sizes=[20])
 
 
-def _neutral(n, dim=1, value=3.0, perturb=0.0, **_):
+def _neutral(n, dim=1, value=3.0, perturb=0.0):
     """Electroneutral constant state: an exact discrete fixed point.
 
     On the unit interval (dim 1) or square (dim 2), each species optionally
@@ -214,10 +201,7 @@ def _neutral(n, dim=1, value=3.0, perturb=0.0, **_):
 BENCHMARKS = {
     "example1": _example1,
     "example2": _example2,
-    "example3-1": lambda n, **kw: _example3("example3-1", n, **kw),
-    "example3-2": lambda n, **kw: _example3("example3-2", n, **kw),
-    "example3-3": lambda n, **kw: _example3("example3-3", n, **kw),
-    "example3-4": lambda n, **kw: _example3("example3-4", n, **kw),
+    **{case: functools.partial(_example3, case) for case in _EX3_CASES},
     "example4": _example4,
     "neutral": _neutral,   # parameterized by the [custom] config section
 }

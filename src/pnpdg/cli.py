@@ -103,9 +103,9 @@ def cmd_convergence(args):
         col0, col0_name, inverse = [(mesh0.hi[0] - mesh0.lo[0]) / n for n in sizes], "h", False
     else:
         col0, col0_name, inverse = sizes, "N", True
-    path = os.path.join(cfg.out_dir, "errors.csv")
-    csvio.write_errors(path, col0_name, col0, errors, inverse=inverse)
     orders = {n: csvio.observed_orders(col0, errors[n], inverse) for n in names}
+    path = os.path.join(cfg.out_dir, "errors.csv")
+    csvio.write_errors(path, col0_name, col0, errors, orders, inverse=inverse)
     header = f"{col0_name:>10s} " + " ".join(f"{('err_'+n):>13s} {('ord_'+n):>8s}"
                                              for n in names)
     print(header)
@@ -113,7 +113,8 @@ def cmd_convergence(args):
         cells = []
         for n in names:
             o = orders[n][i]
-            cells.append(f"{errors[n][i]:13.4e} {'--' if o is None else f'{o:8.2f}':>8s}")
+            o_str = "--" if o is None or np.isnan(o) else f"{o:8.2f}"
+            cells.append(f"{errors[n][i]:13.4e} {o_str:>8s}")
         v_str = f"{v:10.4g}" if not inverse else f"{v:10d}"
         print(v_str + " " + " ".join(cells))
     if ref is not None:

@@ -1,13 +1,11 @@
 """Plain-text run configuration: `key = value` entries under [section] headers.
 
-Unknown sections or keys are rejected with their line number. A parsed
-configuration serializes back to a canonical text whose re-parse is
-identical (round-trip identity).
+Unknown sections or keys are rejected with their line number.
 """
 
 from dataclasses import dataclass
 
-from .benchmarks import BENCHMARKS, VARIANTS, build_benchmark
+from .benchmarks import BENCHMARKS, build_benchmark
 from .driver import SimConfig, check_time_settings
 from .exceptions import ConfigError
 from .field import FluxParams
@@ -32,7 +30,6 @@ def _sizes(s):
 _SCHEMA = {
     "benchmark": {
         "id": ("benchmark", str),
-        "variant": ("variant", str),
     },
     "mesh": {
         "sizes": ("sizes", _sizes),
@@ -67,21 +64,20 @@ _SCHEMA = {
 @dataclass
 class RunConfig:
     benchmark: str = None
-    variant: str = None
     sizes: list = None
     np_beta0: float = None
     np_beta1: float = None
     poisson_beta0: float = None
     poisson_beta1: float = None
-    limiter: bool = True
-    override_admissibility: bool = False
+    limiter: bool = SimConfig.limiter
+    override_admissibility: bool = SimConfig.override_admissibility
     T: float = None
     dt: float = None
     mu: float = None
-    rk: int = 2
-    cfl: str = "monitor"
+    rk: int = SimConfig.rk
+    cfl: str = SimConfig.cfl_mode
     out_dir: str = "out"
-    cadence: int = 1
+    cadence: int = SimConfig.cadence
     custom_dim: int = 1
     custom_value: float = 3.0
     custom_perturb: float = 0.0
@@ -129,45 +125,11 @@ def _validate(cfg, dt_line=None, mu_line=None):
         raise ConfigError(
             f"unknown benchmark {cfg.benchmark!r}; known: {', '.join(sorted(BENCHMARKS))}"
         )
-    variants = VARIANTS.get(cfg.benchmark, {})
-    if cfg.variant is not None and cfg.variant not in variants:
-        raise ConfigError(
-            f"variant {cfg.variant!r} for {cfg.benchmark}: "
-            + (f"known: {', '.join(sorted(variants))}" if variants else "it takes no variant"))
     if cfg.custom_dim not in (1, 2):
         raise ConfigError(f"[custom] dim must be 1 or 2, got {cfg.custom_dim}")
     if cfg.dt is not None and cfg.mu is not None:
         raise ConfigError("give either dt or mu, not both", dt_line or mu_line)
     check_time_settings(cfg.T, cfg.dt, cfg.mu, cfg.rk, cfg.cfl, cfg.cadence)
-
-
-def serialize_config(cfg):
-    """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        if isinstance(v, list):
-            return " ".join(str(x) for x in v)
-        return str(v)
-    lines = []
-    for section, keys in _SCHEMA.items():
-        body = []
-        for key, (attr, _) in keys.items():
-            v = getattr(cfg, attr)
-            if v is None:
-                continue
-            defaults = RunConfig()
-            if section == "custom" and cfg.benchmark != "neutral" \
-                    and v == getattr(defaults, attr):
-                continue
-            body.append(f"{key} = {fmt(v)}")
-        if body:
-            lines.append(f"[{section}]")
-            lines.extend(body)
-            lines.append("")
-    return "\n".join(lines)
 
 
 def resolve(cfg, n=None):
@@ -214,9 +176,7 @@ def config_sizes(cfg):
 
 
 def _registry_kwargs(cfg):
-    """`build_benchmark` keywords: the variant, and the [custom] keys of the
-    neutral case."""
-    kwargs = {} if cfg.variant is None else {"variant": cfg.variant}
-    if cfg.benchmark == "neutral":
-        kwargs.update(dim=cfg.custom_dim, value=cfg.custom_value, perturb=cfg.custom_perturb)
-    return kwargs
+    """`build_benchmark` keywords: the [custom] keys of the neutral case."""
+    if cfg.benchmark != "neutral":
+        return {}
+    return dict(dim=cfg.custom_dim, value=cfg.custom_value, perturb=cfg.custom_perturb)

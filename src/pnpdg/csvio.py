@@ -43,28 +43,31 @@ def write_diagnostics(path, records, species_names=("c1", "c2")):
 
 
 def observed_orders(sizes, errors, inverse=False):
-    """Orders log(e_coarse/e_fine)/log(h_coarse/h_fine); None for the first row.
+    """Orders log(e_coarse/e_fine)/log(h_coarse/h_fine); None for the first
+    row, NaN where either error of the pair is 0.
 
     `sizes` are h values (inverse=False) or N values (inverse=True).
     """
     out = [None]
     for i in range(1, len(sizes)):
         ratio = sizes[i] / sizes[i - 1] if inverse else sizes[i - 1] / sizes[i]
-        out.append(math.log(errors[i - 1] / errors[i]) / math.log(ratio))
+        coarse, fine = errors[i - 1], errors[i]
+        out.append(math.log(coarse / fine) / math.log(ratio) if coarse and fine else math.nan)
     return out
 
 
-def write_errors(path, col0_name, col0_values, errors_by_field, inverse=False):
+def write_errors(path, col0_name, col0_values, errors_by_field, orders, inverse=False):
     """errors.csv with (err, order) column pairs per field.
 
-    errors_by_field: ordered mapping field name -> list of errors per size.
+    errors_by_field: ordered mapping field name -> list of errors per size;
+    orders: field name -> its `observed_orders`. `inverse` writes the sizes
+    as integers N rather than as h values.
     """
     names = list(errors_by_field)
     cols = [col0_name]
     for name in names:
         cols += [f"err_{name}", f"order_{name}"]
     lines = [",".join(cols)]
-    orders = {n: observed_orders(col0_values, errors_by_field[n], inverse) for n in names}
     for i, v in enumerate(col0_values):
         row = [_fmt(float(v)) if not inverse else str(v)]
         for n in names:

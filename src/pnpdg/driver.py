@@ -386,22 +386,3 @@ def free_energy(state, psi=None):
     entropy = sum(quad.integrate(e) for e in cvals * np.log(np.maximum(cvals, ENTROPY_CLIP)))
     charge = sum(q * v for q, v in zip(state.problem.charges, cvals)) + rho
     return entropy + 0.5 * quad.integrate(charge * quad.values(psi.coeffs))
-
-
-def steady_state_init(problem, amplitudes, phi):
-    """Stacked densities c_inf * exp(-q phi_h), projected cell by cell."""
-    quad = problem.mesh.quadrature
-    phivals = quad.values(phi.coeffs)
-    amps = np.asarray(amplitudes, dtype=float)[:, None, None]
-    q = np.asarray(problem.charges, dtype=float)[:, None, None]
-    return Field(problem.mesh, quad.project(amps * np.exp(-q * phivals)))
-
-
-def fit_steady_amplitudes(state, psi=None):
-    """Amplitudes c_inf matching each species' current total mass for exp(-q psi)."""
-    quad = state.mesh.quadrature
-    if psi is None:
-        psi = state.prepared_stage().psi
-    psivals = quad.values(psi.coeffs)
-    return [m / quad.integrate(np.exp(-q * psivals))
-            for m, q in zip(total_mass(state), state.problem.charges)]

@@ -10,7 +10,8 @@ quadrature/decomposition identity; it must agree with the v = 1 component
 of the full update to roundoff.
 
 `boltzmann_state` solves the discrete Poisson-Boltzmann problem, whose
-solutions are the charged steady states of the scheme.
+solutions are the charged steady states of the scheme, from the Boltzmann
+densities of `steady_state_init` and `fit_steady_amplitudes`.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pnpdg.basis import RULE, basis_for
-from pnpdg.driver import fit_steady_amplitudes, steady_state_init
+from pnpdg.driver import total_mass
 from pnpdg.exceptions import InadmissibleCellError, NumericalFatalError
 from pnpdg.field import Field
 from pnpdg.positivity import WeightField, test_set_values
@@ -232,6 +233,25 @@ def decomposition_cell_averages(g, weight, testset, params, dt):
             + mu * h * np.diff(mflux, axis=ft.axis).reshape(n, -1)
         out = out + (mus[d] / mu) * (line @ (ft.weights / 2 ** (mesh.dim - 1)))
     return out
+
+
+def steady_state_init(problem, amplitudes, phi):
+    """Stacked densities c_inf * exp(-q phi_h), projected cell by cell."""
+    quad = problem.mesh.quadrature
+    phivals = quad.values(phi.coeffs)
+    amps = np.asarray(amplitudes, dtype=float)[:, None, None]
+    q = np.asarray(problem.charges, dtype=float)[:, None, None]
+    return Field(problem.mesh, quad.project(amps * np.exp(-q * phivals)))
+
+
+def fit_steady_amplitudes(state, psi=None):
+    """Amplitudes c_inf matching each species' current total mass for exp(-q psi)."""
+    quad = state.mesh.quadrature
+    if psi is None:
+        psi = state.prepared_stage().psi
+    psivals = quad.values(psi.coeffs)
+    return [m / quad.integrate(np.exp(-q * psivals))
+            for m, q in zip(total_mass(state), state.problem.charges)]
 
 
 def boltzmann_state(state, max_iter=200):

@@ -175,8 +175,7 @@ def test_criterion_02_example3_convergence():
         ns = sizes + ([30, 40] if (FULL == "max" and 30 in table) else [])
         errs = {"c1": [], "c2": [], "psi": []}
         for n in ns:
-            kw = {"variant": variant} if variant else {}
-            problem, _ = build_benchmark(case, n, **kw)
+            problem, _ = build_benchmark(case + (variant or ""), n)
             res = run(problem, SimConfig(T=T, mu=1.6e-5, cadence=10**9))
             for i, name in enumerate(("c1", "c2", "psi")):
                 mine = res.errors[name]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from pnpdg.benchmarks import BENCHMARKS
 from pnpdg.cli import main
-from pnpdg.config import config_sizes, parse_config, resolve, serialize_config
+from pnpdg.config import RunConfig, config_sizes, parse_config, resolve
 from pnpdg.csvio import observed_orders
 from pnpdg.driver import init, run
 from pnpdg.exceptions import ConfigError
@@ -15,8 +16,7 @@ id = example1
 FULL = """
 # full configuration
 [benchmark]
-id = example3-4
-variant = b
+id = example3-4b
 
 [mesh]
 sizes = 10 20
@@ -51,12 +51,15 @@ def test_minimal_config_fills_defaults():
     assert config_sizes(cfg) == [5, 10, 20, 40]
 
 
-def test_round_trip_identity():
-    for text in (MINIMAL, FULL):
-        cfg = parse_config(text)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
-        assert parse_config(serialize_config(again)) == again
+def test_full_config_sets_every_key():
+    cfg = parse_config(FULL)
+    assert cfg == RunConfig(benchmark="example3-4b", sizes=[10, 20], np_beta0=16.0,
+                            np_beta1=1 / 6, poisson_beta0=16.0, poisson_beta1=1 / 6,
+                            limiter=True, override_admissibility=False, T=0.001,
+                            mu=1.6e-5, rk=2, cfl="monitor", out_dir="results", cadence=10)
+    problem, sim = resolve(cfg)
+    assert problem.name == "example3-4b" and problem.mesh.n_cells == 100
+    assert (sim.T, sim.mu, sim.cadence) == (0.001, 1.6e-5, 10)
 
 
 def test_unknown_key_reports_line():
@@ -203,13 +206,14 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-@pytest.mark.parametrize("bench,variant", [("example3-4", "z"), ("example1", "b")])
-def test_cli_bad_variant_is_config_error(tmp_path, capsys, bench, variant):
-    # an unknown variant, and a variant for a benchmark that takes none
-    cfg = _write(tmp_path, "v.cfg", f"[benchmark]\nid = {bench}\nvariant = {variant}\n"
+def test_cli_case_without_amplitude_set_is_config_error(tmp_path, capsys):
+    # Example 3 case 4 is three registry ids, one per amplitude set
+    cfg = _write(tmp_path, "v.cfg", f"[benchmark]\nid = example3-4\n"
                  f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main(["run", "--config", cfg]) == 2
-    assert "variant" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown benchmark 'example3-4'" in err
+    assert all(name in err for name in BENCHMARKS)
     assert not (tmp_path / "out").exists()
 
 
@@ -345,6 +349,32 @@ def test_observed_orders_helper():
     assert out[0] is None and abs(out[1] - 3.0) < 1e-12
     out = observed_orders([10, 20], errs, inverse=True)
     assert abs(out[1] - 3.0) < 1e-12
+    # a pair with a zero error has no order
+    out = observed_orders([0.2, 0.1, 0.05, 0.025], [1e-2, 0.0, 0.0, 1e-3])
+    assert out[0] is None and all(np.isnan(o) for o in out[1:])
+
+
+def test_cli_convergence_of_an_exact_fixed_point(tmp_path, capsys):
+    # the neutral constant state is an exact fixed point: every error is 0
+    out = tmp_path / "conv"
+    cfg = _write(tmp_path, "conv.cfg", f"[benchmark]\nid = neutral\n[mesh]\nsizes = 4 8\n"
+                 f"[time]\nt_final = 0.001\n[output]\ndir = {out}\n")
+    assert main(["convergence", "--config", cfg]) == 0
+    lines = (out / "errors.csv").read_text().splitlines()
+    assert lines[1:] == ["2.500000000000e-01," + ",".join(["0.000000000000e+00", ""] * 3),
+                         "1.250000000000e-01," + ",".join(["0.000000000000e+00", "nan"] * 3)]
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert [r.split() for r in rows] == [["0.25"] + ["0.0000e+00", "--"] * 3,
+                                         ["0.125"] + ["0.0000e+00", "--"] * 3]
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_every_registry_id_converges_from_the_cli(tmp_path, name):
+    out = tmp_path / "conv"
+    cfg = _write(tmp_path, "conv.cfg", f"[benchmark]\nid = {name}\n[mesh]\nsizes = 2 4\n"
+                 f"[time]\nt_final = 4e-5\n[output]\ndir = {out}\n")
+    assert main(["convergence", "--config", cfg]) == 0
+    assert (out / "errors.csv").is_file()
 
 
 @pytest.mark.parametrize("line", [

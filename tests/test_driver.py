@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import pnpdg.driver as driver
-from oracles import boltzmann_state, zero_field
+from oracles import boltzmann_state, fit_steady_amplitudes, steady_state_init, zero_field
 from pnpdg.basis import RULE, SeparableSource
 from pnpdg.benchmarks import build_benchmark
-from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, fit_steady_amplitudes,
-                          free_energy, init, pnp_step, run, steady_state_init, total_mass)
+from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, free_energy, init, pnp_step,
+                          run, total_mass)
 from pnpdg.exceptions import ConfigError, NumericalFatalError
 from pnpdg.field import Field, l1_error, project_l2
 from pnpdg.mesh import SIDES
@@ -75,6 +75,15 @@ def test_neutral_state_fixed_point_sustained():
 def test_neutral_rejects_unsupported_dim(dim):
     with pytest.raises(ValueError, match="dim"):
         build_benchmark("neutral", 8, dim=dim)
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("example1", {"variant": "b"}), ("example3-4a", {"variant": "a"}),
+    ("example4", {"dim": 2, "perturb": 0.3}), ("neutral", {"variant": "b"}),
+])
+def test_registry_rejects_keywords_it_does_not_take(name, kwargs):
+    with pytest.raises(TypeError):
+        build_benchmark(name, 4, **kwargs)
 
 
 def test_steady_state_init_zero_potential():
@@ -341,12 +350,12 @@ def test_example1_sources_satisfy_pde(rng):
     assert np.max(np.abs(problem.psi_exact(0.0, np.array([0.0])))) < 1e-14
 
 
+# (case, amplitude set): the registry id is their concatenation
 @pytest.mark.parametrize("case,variant", [("example3-1", None), ("example3-3", None),
                                           ("example3-4", "a"), ("example3-4", "c")])
 def test_example3_sources_satisfy_pde(case, variant, rng):
     sympy = pytest.importorskip("sympy")
-    kwargs = {"variant": variant} if variant else {}
-    problem, _ = build_benchmark(case, 4, **kwargs)
+    problem, _ = build_benchmark(case + (variant or ""), 4)
     x, y, t = sympy.symbols("x y t")
     # recover the parameters from the exact solutions
     a1 = float(problem.species[0].exact(0.0, 0.0, 0.0)) / 2
@@ -374,13 +383,10 @@ def test_example3_sources_satisfy_pde(case, variant, rng):
     assert np.max(np.abs(problem.poisson_source(ts, xs, ys) - f3(ts, xs, ys))) < 1e-10
 
 
-@pytest.mark.parametrize("name,kwargs", [
-    ("example1", {}), ("example3-1", {}), ("example3-2", {}), ("example3-3", {}),
-    ("example3-4", {"variant": "a"}), ("example3-4", {"variant": "b"}),
-    ("example3-4", {"variant": "c"}),
-])
-def test_registry_sources_are_separable(name, kwargs):
-    problem, _ = build_benchmark(name, 6, **kwargs)
+@pytest.mark.parametrize("name", ["example1", "example3-1", "example3-2", "example3-3",
+                                  "example3-4a", "example3-4b", "example3-4c"])
+def test_registry_sources_are_separable(name):
+    problem, _ = build_benchmark(name, 6)
     quad = problem.mesh.quadrature
     sources = [sp.source for sp in problem.species] + [problem.poisson_source]
     sources = [f for f in sources if f is not None]
