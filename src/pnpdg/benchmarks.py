@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import SeparableSource, basis_for
 from .driver import ProblemSpec, SpeciesSpec
+from .exceptions import ConfigError
 from .field import FluxParams
 from .mesh import SIDES, build_mesh_1d, build_mesh_2d
 from .poisson import PoissonBC, dirichlet, neumann
@@ -175,7 +176,7 @@ def _neutral(n, dim=1, value=3.0, perturb=0.0):
     side, Neumann elsewhere."""
     meshes = {1: lambda: build_mesh_1d(0.0, 1.0, n), 2: lambda: build_mesh_2d(1.0, 1.0, n, n)}
     if dim not in meshes:
-        raise ValueError(f"neutral: dim must be 1 or 2, got {dim!r}")
+        raise ConfigError(f"neutral: dim must be 1 or 2, got {dim!r}")
     mesh = meshes[dim]()
 
     def make_init(sign):

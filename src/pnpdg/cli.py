@@ -30,13 +30,13 @@ def _load_config(args):
     if args.out:
         cfg.out_dir = args.out
     if args.override_admissibility:
-        cfg.override_admissibility = True
+        cfg.sim["override_admissibility"] = True
     if args.cfl:
-        cfg.cfl = args.cfl
+        cfg.sim["cfl_mode"] = args.cfl
     if args.rk:
-        cfg.rk = args.rk
+        cfg.sim["rk"] = args.rk
     if args.no_limiter:
-        cfg.limiter = False
+        cfg.sim["limiter"] = False
     return cfg
 
 
@@ -47,9 +47,8 @@ def cmd_run(args):
         log.info("run uses the first mesh size %d (of %s)", sizes[0], sizes)
     problem, sim = resolve(cfg, sizes[0])
     result = run(problem, sim)
-    names = [sp.name for sp in problem.species]
     out = cfg.out_dir
-    csvio.write_diagnostics(os.path.join(out, "diagnostics.csv"), result.diagnostics, names)
+    csvio.write_diagnostics(os.path.join(out, "diagnostics.csv"), result.diagnostics)
     for sp, coeffs in zip(problem.species, result.state.c.coeffs):
         csvio.write_snapshot(os.path.join(out, f"snapshot_{sp.name}.csv"), coeffs)
     psi = result.state.prepared_stage().psi

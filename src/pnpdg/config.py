@@ -1,14 +1,16 @@
 """Plain-text run configuration: `key = value` entries under [section] headers.
 
-Unknown sections or keys are rejected with their line number.
+Unknown sections or keys, and a key set twice, are rejected with their line
+number. A configuration is valid exactly when it resolves: `parse_config`
+resolves it once, so the registry and `SimConfig` check every value they own.
 """
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field, replace
 
-from .benchmarks import BENCHMARKS, build_benchmark
-from .driver import SimConfig, check_time_settings
+from .benchmarks import BENCHMARKS
+from .driver import SimConfig
 from .exceptions import ConfigError
-from .field import FluxParams
 
 
 def _bool(s):
@@ -23,70 +25,65 @@ def _sizes(s):
     out = [int(tok) for tok in s.replace(",", " ").split()]
     if not out or any(n < 2 for n in out):
         raise ValueError("sizes must be integers >= 2")
+    if len(set(out)) < len(out):
+        raise ValueError(f"sizes must not repeat, got {out}")
     return out
 
 
-# section -> key -> (attribute, parser)
+# section -> key -> (RunConfig field, keyword or None for the field itself, parser)
 _SCHEMA = {
     "benchmark": {
-        "id": ("benchmark", str),
+        "id": ("benchmark", None, str),
     },
     "mesh": {
-        "sizes": ("sizes", _sizes),
+        "sizes": ("sizes", None, _sizes),
     },
     "scheme": {
-        "np_beta0": ("np_beta0", float),
-        "np_beta1": ("np_beta1", float),
-        "poisson_beta0": ("poisson_beta0", float),
-        "poisson_beta1": ("poisson_beta1", float),
-        "limiter": ("limiter", _bool),
-        "override_admissibility": ("override_admissibility", _bool),
+        "np_beta0": ("np_params", "beta0", float),
+        "np_beta1": ("np_params", "beta1", float),
+        "poisson_beta0": ("poisson_params", "beta0", float),
+        "poisson_beta1": ("poisson_params", "beta1", float),
+        "limiter": ("sim", "limiter", _bool),
+        "override_admissibility": ("sim", "override_admissibility", _bool),
     },
     "time": {
-        "t_final": ("T", float),
-        "dt": ("dt", float),
-        "mu": ("mu", float),
-        "rk": ("rk", int),
-        "cfl": ("cfl", str),
+        "t_final": ("sim", "T", float),
+        "dt": ("sim", "dt", float),
+        "mu": ("sim", "mu", float),
+        "rk": ("sim", "rk", int),
+        "cfl": ("sim", "cfl_mode", str),
     },
     "output": {
-        "dir": ("out_dir", str),
-        "cadence": ("cadence", int),
+        "dir": ("out_dir", None, str),
+        "cadence": ("sim", "cadence", int),
     },
     "custom": {
-        "dim": ("custom_dim", int),
-        "value": ("custom_value", float),
-        "perturb": ("custom_perturb", float),
+        "dim": ("custom", "dim", int),
+        "value": ("custom", "value", float),
+        "perturb": ("custom", "perturb", float),
     },
 }
 
 
 @dataclass
 class RunConfig:
+    """What a configuration file sets. The four dicts hold keyword overrides
+    of the registry's `FluxParams` pairs, of `SimConfig` and of the
+    registry builder."""
+
     benchmark: str = None
     sizes: list = None
-    np_beta0: float = None
-    np_beta1: float = None
-    poisson_beta0: float = None
-    poisson_beta1: float = None
-    limiter: bool = SimConfig.limiter
-    override_admissibility: bool = SimConfig.override_admissibility
-    T: float = None
-    dt: float = None
-    mu: float = None
-    rk: int = SimConfig.rk
-    cfl: str = SimConfig.cfl_mode
     out_dir: str = "out"
-    cadence: int = SimConfig.cadence
-    custom_dim: int = 1
-    custom_value: float = 3.0
-    custom_perturb: float = 0.0
+    np_params: dict = field(default_factory=dict)
+    poisson_params: dict = field(default_factory=dict)
+    sim: dict = field(default_factory=dict)
+    custom: dict = field(default_factory=dict)
 
 
 def parse_config(text):
     cfg = RunConfig()
     section = None
-    seen_dt_line = seen_mu_line = None
+    key_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,78 +102,62 @@ def parse_config(text):
         value = value.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        attr, conv = _SCHEMA[section][key]
+        if key in key_lines:
+            raise ConfigError(f"{key!r} is already set on line {key_lines[key]}", lineno)
+        key_lines[key] = lineno
+        attr, name, conv = _SCHEMA[section][key]
         try:
-            setattr(cfg, attr, conv(value))
+            value = conv(value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"bad value for {key!r}: {e}", lineno) from None
-        if attr == "dt":
-            seen_dt_line = lineno
-        if attr == "mu":
-            seen_mu_line = lineno
-    _validate(cfg, seen_dt_line, seen_mu_line)
+        if name is None:
+            setattr(cfg, attr, value)
+        else:
+            getattr(cfg, attr)[name] = value
+    if cfg.benchmark is None:
+        raise ConfigError("benchmark id required ([benchmark] id = ...)")
+    if "dt" in key_lines and "mu" in key_lines:
+        raise ConfigError("give either dt or mu, not both", key_lines["dt"])
+    resolve(cfg)
     return cfg
 
 
-def _validate(cfg, dt_line=None, mu_line=None):
-    if cfg.benchmark is None:
-        raise ConfigError("benchmark id required ([benchmark] id = ...)")
-    if cfg.benchmark not in BENCHMARKS:
-        raise ConfigError(
-            f"unknown benchmark {cfg.benchmark!r}; known: {', '.join(sorted(BENCHMARKS))}"
-        )
-    if cfg.custom_dim not in (1, 2):
-        raise ConfigError(f"[custom] dim must be 1 or 2, got {cfg.custom_dim}")
-    if cfg.dt is not None and cfg.mu is not None:
-        raise ConfigError("give either dt or mu, not both", dt_line or mu_line)
-    check_time_settings(cfg.T, cfg.dt, cfg.mu, cfg.rk, cfg.cfl, cfg.cadence)
-
-
 def resolve(cfg, n=None):
-    """Materialize (ProblemSpec, SimConfig, defaults) for one mesh size.
+    """Materialize (ProblemSpec, SimConfig) for mesh size n, by default the
+    first of the run.
 
     Config values override the benchmark defaults; missing entries fall
-    back to them (beta pairs, T, mesh ratio, sizes).
+    back to them. A configured dt or mu replaces the registry's step.
     """
     if n is None:
         n = config_sizes(cfg)[0]
-    problem, defaults = build_benchmark(cfg.benchmark, n, **_registry_kwargs(cfg))
-    if cfg.np_beta0 is not None or cfg.np_beta1 is not None:
-        problem.np_params = FluxParams(
-            cfg.np_beta0 if cfg.np_beta0 is not None else problem.np_params.beta0,
-            cfg.np_beta1 if cfg.np_beta1 is not None else problem.np_params.beta1,
-        )
-    if cfg.poisson_beta0 is not None or cfg.poisson_beta1 is not None:
-        problem.poisson_params = FluxParams(
-            cfg.poisson_beta0 if cfg.poisson_beta0 is not None
-            else problem.poisson_params.beta0,
-            cfg.poisson_beta1 if cfg.poisson_beta1 is not None
-            else problem.poisson_params.beta1,
-        )
-    dt, mu = cfg.dt, cfg.mu
-    if dt is None and mu is None:
-        dt, mu = defaults.get("dt"), defaults.get("mu")
-    sim = SimConfig(
-        T=cfg.T if cfg.T is not None else defaults["T"],
-        dt=dt, mu=mu,
-        rk=cfg.rk,
-        limiter=cfg.limiter,
-        cfl_mode=cfg.cfl,
-        cadence=cfg.cadence,
-        override_admissibility=cfg.override_admissibility,
-    )
-    return problem, sim
+    problem, defaults = _build(cfg, n)
+    problem.np_params = replace(problem.np_params, **cfg.np_params)
+    problem.poisson_params = replace(problem.poisson_params, **cfg.poisson_params)
+    sim = {"T": defaults["T"]}
+    if not cfg.sim.keys() & {"dt", "mu"}:
+        sim.update(dt=defaults.get("dt"), mu=defaults.get("mu"))
+    return problem, SimConfig(**{**sim, **cfg.sim})
 
 
 def config_sizes(cfg):
     """Mesh sizes of the run: the configured ones, else the benchmark's."""
     if cfg.sizes is not None:
         return cfg.sizes
-    return build_benchmark(cfg.benchmark, 4, **_registry_kwargs(cfg))[1]["sizes"]
+    return _build(cfg, 4)[1]["sizes"]
 
 
-def _registry_kwargs(cfg):
-    """`build_benchmark` keywords: the [custom] keys of the neutral case."""
-    if cfg.benchmark != "neutral":
-        return {}
-    return dict(dim=cfg.custom_dim, value=cfg.custom_value, perturb=cfg.custom_perturb)
+def _build(cfg, n):
+    """The registry's problem and defaults at mesh size n, with the [custom]
+    keywords. An unknown id and a keyword the builder does not take are
+    configuration errors; an error raised inside the builder propagates as
+    it is (`neutral` raises its own `ConfigError` for a bad dim)."""
+    builder = BENCHMARKS.get(cfg.benchmark)
+    if builder is None:
+        raise ConfigError(f"unknown benchmark {cfg.benchmark!r}; "
+                          f"known: {', '.join(sorted(BENCHMARKS))}")
+    try:
+        inspect.signature(builder).bind(n, **cfg.custom)
+    except TypeError as e:
+        raise ConfigError(f"[custom] does not apply to {cfg.benchmark!r}: {e}") from None
+    return builder(n, **cfg.custom)

@@ -17,16 +17,17 @@ def _fmt(v):
     return f"{v:.12e}"
 
 
-def write_diagnostics(path, records, species_names=("c1", "c2")):
+def write_diagnostics(path, records):
     """diagnostics.csv: t, per-species mass, energy, minima, limiter count,
     mu0, then the per-species test-set minima after limiting."""
+    species = range(1, len(records[0].masses) + 1)
     cols = ["t"]
-    cols += [f"mass_{i+1}" for i in range(len(species_names))]
+    cols += [f"mass_{i}" for i in species]
     cols += ["energy"]
-    cols += [f"min_avg_{i+1}" for i in range(len(species_names))]
-    cols += [f"min_g_{i+1}" for i in range(len(species_names))]
+    cols += [f"min_avg_{i}" for i in species]
+    cols += [f"min_g_{i}" for i in species]
     cols += ["theta_count", "mu0"]
-    cols += [f"min_g_post_{i+1}" for i in range(len(species_names))]
+    cols += [f"min_g_post_{i}" for i in species]
     lines = ["# energy column: diagnostic convention (entropy + half electrostatic), "
              "not a reproduced quantity"]
     lines.append(",".join(cols))

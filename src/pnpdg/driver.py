@@ -31,31 +31,6 @@ MAX_HALVINGS = 60   # adaptive CFL: step halvings allowed per step
 CFL_MODES = ("monitor", "strict", "adaptive")
 
 
-def check_time_settings(T, dt, mu, rk, cfl_mode, cadence):
-    """Rejects time settings that could hang a run, end it silently or run a
-    scheme other than the one asked for. T, dt and mu, each unless None,
-    must be finite with T >= 0, dt > 0 and mu > 0; rk and cadence must be
-    integers, not bools, with rk 1 or 2 and cadence >= 1; cfl_mode must be
-    one of CFL_MODES."""
-    for name, value in (("t_final", T), ("dt", dt), ("mu", mu)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if T is not None and T < 0:
-        raise ConfigError(f"t_final must be >= 0, got {T}")
-    for name, value in (("dt", dt), ("mu", mu)):
-        if value is not None and value <= 0:
-            raise ConfigError(f"{name} must be > 0, got {value}")
-    for name, value in (("rk", rk), ("cadence", cadence)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if rk not in (1, 2):
-        raise ConfigError(f"rk must be 1 or 2, got {rk}")
-    if cfl_mode not in CFL_MODES:
-        raise ConfigError(f"cfl must be one of {CFL_MODES}, got {cfl_mode!r}")
-    if cadence < 1:
-        raise ConfigError("cadence must be >= 1")
-
-
 @dataclass
 class SpeciesSpec:
     """One charged species: charge, initial density, optional manufactured
@@ -102,7 +77,28 @@ class SimConfig:
     override_admissibility: bool = False
 
     def __post_init__(self):
-        check_time_settings(self.T, self.dt, self.mu, self.rk, self.cfl_mode, self.cadence)
+        """Rejects settings that could hang a run, end it silently or run a
+        scheme other than the one asked for. T, dt and mu must be finite with
+        T >= 0, dt > 0 and mu > 0; rk and cadence must be integers, not
+        bools, with rk 1 or 2 and cadence >= 1; cfl_mode must be one of
+        CFL_MODES. T and exactly one of dt and mu are required."""
+        for name, value in (("t_final", self.T), ("dt", self.dt), ("mu", self.mu)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.T is not None and self.T < 0:
+            raise ConfigError(f"t_final must be >= 0, got {self.T}")
+        for name, value in (("dt", self.dt), ("mu", self.mu)):
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name, value in (("rk", self.rk), ("cadence", self.cadence)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.rk not in (1, 2):
+            raise ConfigError(f"rk must be 1 or 2, got {self.rk}")
+        if self.cfl_mode not in CFL_MODES:
+            raise ConfigError(f"cfl must be one of {CFL_MODES}, got {self.cfl_mode!r}")
+        if self.cadence < 1:
+            raise ConfigError("cadence must be >= 1")
         if self.T is None:
             raise ConfigError("t_final is required")
         if (self.dt is None) == (self.mu is None):

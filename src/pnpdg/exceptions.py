@@ -5,8 +5,9 @@ class PnpdgError(Exception):
     pass
 
 
-class ConfigError(PnpdgError):
-    """Invalid run configuration. Carries the offending line number when known."""
+class ConfigError(PnpdgError, ValueError):
+    """Invalid run configuration, such as a bad registry keyword value.
+    Carries the offending line number when known."""
 
     def __init__(self, message, line=None):
         self.line = line

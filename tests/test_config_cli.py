@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from pnpdg.benchmarks import BENCHMARKS
 from pnpdg.cli import main
 from pnpdg.config import RunConfig, config_sizes, parse_config, resolve
 from pnpdg.csvio import observed_orders
-from pnpdg.driver import init, run
+from pnpdg.driver import SimConfig, init, run
 from pnpdg.exceptions import ConfigError
+from pnpdg.field import FluxParams
 
 MINIMAL = """
 [benchmark]
@@ -53,13 +56,39 @@ def test_minimal_config_fills_defaults():
 
 def test_full_config_sets_every_key():
     cfg = parse_config(FULL)
-    assert cfg == RunConfig(benchmark="example3-4b", sizes=[10, 20], np_beta0=16.0,
-                            np_beta1=1 / 6, poisson_beta0=16.0, poisson_beta1=1 / 6,
-                            limiter=True, override_admissibility=False, T=0.001,
-                            mu=1.6e-5, rk=2, cfl="monitor", out_dir="results", cadence=10)
+    assert cfg == RunConfig(
+        benchmark="example3-4b", sizes=[10, 20], out_dir="results",
+        np_params=dict(beta0=16.0, beta1=1 / 6), poisson_params=dict(beta0=16.0, beta1=1 / 6),
+        sim=dict(limiter=True, override_admissibility=False, T=0.001, mu=1.6e-5, rk=2,
+                 cfl_mode="monitor", cadence=10))
     problem, sim = resolve(cfg)
     assert problem.name == "example3-4b" and problem.mesh.n_cells == 100
     assert (sim.T, sim.mu, sim.cadence) == (0.001, 1.6e-5, 10)
+    assert problem.np_params == FluxParams(16.0, 1 / 6)
+    assert problem.poisson_params == FluxParams(16.0, 1 / 6)
+    assert sim == SimConfig(T=0.001, mu=1.6e-5, rk=2, limiter=True, cfl_mode="monitor",
+                            cadence=10, override_admissibility=False)
+    # scheme and time keys set away from their defaults reach their owners
+    text = FULL.replace("np_beta0 = 16", "np_beta0 = 2").replace(
+        "poisson_beta1 = 0.16666666666666666", "poisson_beta1 = 0.2").replace(
+        "limiter = true", "limiter = false").replace(
+        "override_admissibility = false", "override_admissibility = true").replace(
+        "rk = 2", "rk = 1").replace("cfl = monitor", "cfl = adaptive")
+    problem, sim = resolve(parse_config(text), 20)
+    assert problem.mesh.n_cells == 400
+    assert problem.np_params == FluxParams(2.0, 1 / 6)
+    assert problem.poisson_params == FluxParams(16.0, 0.2)
+    assert sim == SimConfig(T=0.001, mu=1.6e-5, rk=1, limiter=False, cfl_mode="adaptive",
+                            cadence=10, override_admissibility=True)
+
+
+def test_config_dt_replaces_the_registry_mu():
+    # example1's registry step is mu = 0.01; a file dt takes its place
+    _, sim = resolve(parse_config(MINIMAL + "[time]\ndt = 2e-5\n"))
+    assert (sim.dt, sim.mu, sim.T) == (2e-5, None, 0.01)
+    # example4's registry step is dt = 1e-5; a file mu takes its place
+    _, sim = resolve(parse_config("[benchmark]\nid = example4\n[time]\nmu = 0.004\n"))
+    assert (sim.dt, sim.mu, sim.T) == (None, 0.004, 0.1)
 
 
 def test_unknown_key_reports_line():
@@ -94,7 +123,7 @@ def test_beta1_outside_range_rejected():
     with pytest.raises(ConfigError, match="1/8 <= beta1 <= 1/4"):
         init(*resolve(parse_config(text)))
     ok = parse_config(text + "override_admissibility = true\n")
-    assert ok.np_beta1 == 0.04
+    assert ok.np_params == {"beta1": 0.04}
     assert run(*resolve(ok)).state.t == pytest.approx(0.01)
 
 
@@ -128,7 +157,7 @@ def test_dt_and_mu_conflict():
 def test_bad_custom_dim_rejected(dim):
     with pytest.raises(ConfigError, match="dim"):
         parse_config(f"[benchmark]\nid = neutral\n[custom]\ndim = {dim}\n")
-    assert parse_config("[benchmark]\nid = neutral\n[custom]\ndim = 2\n").custom_dim == 2
+    assert parse_config("[benchmark]\nid = neutral\n[custom]\ndim = 2\n").custom == {"dim": 2}
 
 
 def _write(tmp_path, name, text):
@@ -385,3 +414,46 @@ def test_every_registry_id_converges_from_the_cli(tmp_path, name):
 def test_bad_time_settings_rejected(line):
     with pytest.raises(ConfigError, match=line.split()[0]):
         parse_config(MINIMAL + "[time]\n" + line + "\n")
+
+
+def test_repeated_size_reports_line(tmp_path, capsys):
+    # a repeated size would give a zero log ratio in the observed orders
+    text = "[benchmark]\nid = example1\n[mesh]\nsizes = 5 5\n"
+    with pytest.raises(ConfigError, match="line 4: .*repeat"):
+        parse_config(text)
+    out = tmp_path / "conv"
+    cfg = _write(tmp_path, "rep.cfg", text + f"[output]\ndir = {out}\n")
+    assert main(["convergence", "--config", cfg]) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_key_set_twice_names_both_lines():
+    text = "[benchmark]\nid = example1\n[time]\ncfl = strict\ncfl = monitor\n"
+    with pytest.raises(ConfigError, match="line 5: 'cfl' is already set on line 4"):
+        parse_config(text)
+    # also across two headers of the same section
+    with pytest.raises(ConfigError, match="line 6: 'mu' is already set on line 4"):
+        parse_config("[benchmark]\nid = example1\n[time]\nmu = 0.01\n[time]\nmu = 0.02\n")
+
+
+@pytest.mark.parametrize("name", sorted(set(BENCHMARKS) - {"neutral"}))
+def test_custom_section_on_other_ids_is_config_error(tmp_path, capsys, name):
+    text = f"[benchmark]\nid = {name}\n[custom]\ndim = 2\n"
+    with pytest.raises(ConfigError, match=f"does not apply to '{name}'"):
+        parse_config(text)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "c.cfg", text + f"[output]\ndir = {out}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "[custom]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_configuration_block_resolves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    problem, sim = resolve(cfg)
+    assert problem.name == cfg.benchmark and problem.mesh.n_cells == config_sizes(cfg)[0]
+    assert set(cfg.sim) == {"T", "mu", "rk", "limiter", "override_admissibility",
+                            "cfl_mode", "cadence"}
