@@ -9,8 +9,8 @@ from .exceptions import (ConfigError, InadmissibleCellError, NumericalFatalError
                          OverflowGuardError, PnpdgError)
 from .field import Field, FluxParams, eval_at_points, l1_error, project_l2
 from .mesh import Mesh, build_mesh_1d, build_mesh_2d
-from .poisson import (BoundaryCondition, PoissonBC, PoissonOperator, assemble_load,
-                      assemble_operator, dirichlet, gamma_d, neumann)
+from .poisson import (BoundaryCondition, PoissonOperator, assemble_load, assemble_operator,
+                      dirichlet, gamma_d, neumann)
 from .positivity import (LimiterReport, TestSet, WeightField,
                          build_test_set, build_weight, cfl_mu0, scaling_limiter,
                          test_set_values, weighted_cell_average, weighted_projection)

@@ -1,8 +1,9 @@
 """Benchmark problem registry.
 
-Each entry builds a ProblemSpec for a given mesh size together with the
-default run settings (final time, mesh-ratio or step size, flux parameter
-pairs, mesh sizes for convergence studies). Initial data, sources, boundary
+Each entry pairs a builder, which returns the ProblemSpec (with its flux
+parameter pairs) for a given mesh size, with the default run settings,
+which do not depend on the mesh size: final time, mesh ratio or step size,
+and the mesh sizes of a convergence study. Initial data, sources, boundary
 data and exact solutions are hard-coded; the manufactured sources are
 time-separable (`SeparableSource`), and the test suite validates them
 against the continuous operator.
@@ -18,7 +19,7 @@ from .driver import ProblemSpec, SpeciesSpec
 from .exceptions import ConfigError
 from .field import FluxParams
 from .mesh import SIDES, build_mesh_1d, build_mesh_2d
-from .poisson import PoissonBC, dirichlet, neumann
+from .poisson import dirichlet, neumann
 
 
 def _example1(n):
@@ -46,16 +47,15 @@ def _example1(n):
         SpeciesSpec(-1.0, lambda x: x**2 * (1 - x)**3, source=f2,
                     exact=lambda t, x: x**2 * (1 - x)**3 * np.exp(-t), name="c2"),
     ]
-    bc = PoissonBC({
+    bc = {
         "left": dirichlet(lambda t: 0.0),
         "right": neumann(lambda t: -np.exp(-t) / 60.0),
-    })
-    problem = ProblemSpec(
+    }
+    return ProblemSpec(
         mesh, species, bc, FluxParams(4.0, 1/6), FluxParams(4.0, 1/6),
         psi_exact=lambda t, x: -(10 * x**7 - 28 * x**6 + 21 * x**5) * np.exp(-t) / 420.0,
         name="example1",
     )
-    return problem, dict(T=0.01, mu=0.01, sizes=[5, 10, 20, 40])
 
 
 def _example2(n):
@@ -64,14 +64,13 @@ def _example2(n):
         SpeciesSpec(1.0, lambda x: 1 + np.pi * np.sin(np.pi * x), name="c1"),
         SpeciesSpec(-1.0, lambda x: 4 - 2 * x, name="c2"),
     ]
-    bc = PoissonBC({
+    bc = {
         "left": neumann(lambda t: 0.0),
         "right": neumann(lambda t: 0.0),
-    }, zero_mean_gauge=True)
-    problem = ProblemSpec(
+    }
+    return ProblemSpec(
         mesh, species, bc, FluxParams(4.0, 1/6), FluxParams(4.0, 1/6), name="example2",
     )
-    return problem, dict(T=0.5, mu=0.01, sizes=[5, 10, 20])
 
 
 # Example 3 registry id -> solution parameters (alpha, alpha1, alpha2,
@@ -91,7 +90,7 @@ _EX3_CASES = {
 
 
 def _example3(case, n):
-    (al, a1, a2, a3), bctype, default_T = _EX3_CASES[case]
+    (al, a1, a2, a3), bctype, _ = _EX3_CASES[case]
     mesh = build_mesh_2d(np.pi, np.pi, n, n)
 
     def c1_ex(t, x, y):
@@ -142,11 +141,10 @@ def _example3(case, n):
         # outward normal derivative of the exact potential on the y-faces
         sides["bottom"] = neumann(lambda t, s: a3 * np.exp(-al * t) * np.cos(s) * np.sin(0.0))
         sides["top"] = neumann(lambda t, s: -a3 * np.exp(-al * t) * np.cos(s) * np.sin(np.pi))
-    problem = ProblemSpec(
-        mesh, species, PoissonBC(sides), FluxParams(16.0, 1/6), FluxParams(16.0, 1/6),
+    return ProblemSpec(
+        mesh, species, sides, FluxParams(16.0, 1/6), FluxParams(16.0, 1/6),
         poisson_source=f3, psi_exact=psi_ex, name=case,
     )
-    return problem, dict(T=default_T, mu=1.6e-5, sizes=[10, 20])
 
 
 def _example4(n):
@@ -156,16 +154,15 @@ def _example4(n):
                                        + np.pi * np.sin(np.pi * y)) / 20.0, name="c1"),
         SpeciesSpec(-1.0, lambda x, y: x**2 * (1 - x)**2 + y**2 * (1 - y)**2, name="c2"),
     ]
-    bc = PoissonBC({
+    bc = {
         "left": dirichlet(lambda t, s: 0.0),
         "right": dirichlet(lambda t, s: 0.0),
         "bottom": neumann(lambda t, s: 0.0),
         "top": neumann(lambda t, s: 0.0),
-    })
-    problem = ProblemSpec(
+    }
+    return ProblemSpec(
         mesh, species, bc, FluxParams(16.0, 1/6), FluxParams(16.0, 1/6), name="example4",
     )
-    return problem, dict(T=0.1, dt=1e-5, sizes=[20])
 
 
 def _neutral(n, dim=1, value=3.0, perturb=0.0):
@@ -192,24 +189,26 @@ def _neutral(n, dim=1, value=3.0, perturb=0.0):
         SpeciesSpec(1.0, make_init(+1), name="c1", init_coeffs=exact_coeffs),
         SpeciesSpec(-1.0, make_init(-1), name="c2", init_coeffs=exact_coeffs),
     ]
-    problem = ProblemSpec(
-        mesh, species, PoissonBC(sides), FluxParams(4.0, 1/6), FluxParams(4.0, 1/6),
+    return ProblemSpec(
+        mesh, species, sides, FluxParams(4.0, 1/6), FluxParams(4.0, 1/6),
         name="neutral",
     )
-    return problem, dict(T=0.01, mu=0.01, sizes=[8, 16])
 
 
+# registry id -> (builder of the problem at mesh size n, default run settings)
 BENCHMARKS = {
-    "example1": _example1,
-    "example2": _example2,
-    **{case: functools.partial(_example3, case) for case in _EX3_CASES},
-    "example4": _example4,
-    "neutral": _neutral,   # parameterized by the [custom] config section
+    "example1": (_example1, dict(T=0.01, mu=0.01, sizes=[5, 10, 20, 40])),
+    "example2": (_example2, dict(T=0.5, mu=0.01, sizes=[5, 10, 20])),
+    **{case: (functools.partial(_example3, case), dict(T=T, mu=1.6e-5, sizes=[10, 20]))
+       for case, (_, _, T) in _EX3_CASES.items()},
+    "example4": (_example4, dict(T=0.1, dt=1e-5, sizes=[20])),
+    # parameterized by the [custom] config section
+    "neutral": (_neutral, dict(T=0.01, mu=0.01, sizes=[8, 16])),
 }
 
 
 def build_benchmark(name, n, **kwargs):
-    """Problem and default settings for registry entry `name` at mesh size n."""
+    """The problem of registry entry `name` at mesh size n."""
     if name not in BENCHMARKS:
         raise KeyError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
-    return BENCHMARKS[name](n, **kwargs)
+    return BENCHMARKS[name][0](n, **kwargs)

@@ -45,7 +45,7 @@ def cmd_run(args):
     sizes = config_sizes(cfg)
     if len(sizes) > 1:
         log.info("run uses the first mesh size %d (of %s)", sizes[0], sizes)
-    problem, sim = resolve(cfg, sizes[0])
+    problem, sim = resolve(cfg)
     result = run(problem, sim)
     out = cfg.out_dir
     csvio.write_diagnostics(os.path.join(out, "diagnostics.csv"), result.diagnostics)
@@ -76,30 +76,26 @@ def cmd_convergence(args):
     sizes = config_sizes(cfg)
     if len(sizes) < 2:
         raise ConfigError("convergence study needs at least 2 mesh sizes")
-    problem0, _ = resolve(cfg, sizes[0])
-    has_exact = all(sp.exact is not None for sp in problem0.species) \
-        and problem0.psi_exact is not None
-    ref = None
-    if not has_exact:
-        ref = _reference_result(cfg, sizes)
-    names = [sp.name for sp in problem0.species] + ["psi"]
-    errors = {n: [] for n in names}
+    errors, ref = {}, None
     for n in sizes:
         problem, sim = resolve(cfg, n)
         result = run(problem, sim, diagnostics=False)
-        state = result.state
-        if has_exact:
-            for sp in problem.species:
-                errors[sp.name].append(result.errors[sp.name])
-            errors["psi"].append(result.errors["psi"])
+        if problem.psi_exact is not None and all(sp.exact is not None
+                                                 for sp in problem.species):
+            errs = result.errors
         else:
+            if ref is None:
+                ref = _reference_result(cfg, sizes)
             ref_c, ref_psi, _ = ref
-            for sp, c, rc in zip(problem.species, state.c.coeffs, ref_c.coeffs):
-                errors[sp.name].append(l1_error(Field(problem.mesh, c), Field(ref_c.mesh, rc)))
-            errors["psi"].append(l1_error(state.prepared_stage().psi, ref_psi))
-    mesh0 = problem0.mesh
-    if mesh0.dim == 1:
-        col0, col0_name, inverse = [(mesh0.hi[0] - mesh0.lo[0]) / n for n in sizes], "h", False
+            state = result.state
+            errs = {sp.name: l1_error(Field(problem.mesh, c), Field(ref_c.mesh, rc))
+                    for sp, c, rc in zip(problem.species, state.c.coeffs, ref_c.coeffs)}
+            errs["psi"] = l1_error(state.prepared_stage().psi, ref_psi)
+        for name, err in errs.items():
+            errors.setdefault(name, []).append(err)
+    names, mesh = list(errors), problem.mesh
+    if mesh.dim == 1:
+        col0, col0_name, inverse = [(mesh.hi[0] - mesh.lo[0]) / n for n in sizes], "h", False
     else:
         col0, col0_name, inverse = sizes, "N", True
     orders = {n: csvio.observed_orders(col0, errors[n], inverse) for n in names}
@@ -124,9 +120,9 @@ def cmd_convergence(args):
 
 def cmd_steady_check(args, n_steps=100):
     cfg = _load_config(args)
-    problem, sim = resolve(cfg, config_sizes(cfg)[0])
-    result = run(problem, sim)
-    state = result.state
+    problem, sim = resolve(cfg)
+    state = run(problem, sim, diagnostics=False).state
+    t0 = state.t
     dt = sim.resolve_dt(problem.mesh)
     rows = []
     for step in range(n_steps):
@@ -137,8 +133,7 @@ def cmd_steady_check(args, n_steps=100):
     path = os.path.join(cfg.out_dir, "steady.csv")
     csvio.write_steady_report(path, rows)
     changes = [r[2] for r in rows]
-    print(f"steady check after t={result.state.t - n_steps * dt:.6g}: "
-          f"{n_steps} steps of dt={dt:.3e}")
+    print(f"steady check after t={t0:.6g}: {n_steps} steps of dt={dt:.3e}")
     print(f"max change per step: first {changes[0]:.3e}, "
           f"median {sorted(changes)[len(changes)//2]:.3e}, last {changes[-1]:.3e}")
     print(f"wrote {path}")

@@ -127,13 +127,25 @@ def resolve(cfg, n=None):
     first of the run.
 
     Config values override the benchmark defaults; missing entries fall
-    back to them. A configured dt or mu replaces the registry's step.
+    back to them. A configured dt or mu replaces the registry's step. An
+    unknown id and a [custom] keyword the builder does not take are
+    configuration errors; an error raised inside the builder propagates as
+    it is (`neutral` raises its own `ConfigError` for a bad dim).
     """
+    builder, defaults = _entry(cfg)
     if n is None:
         n = config_sizes(cfg)[0]
-    problem, defaults = _build(cfg, n)
-    problem.np_params = replace(problem.np_params, **cfg.np_params)
-    problem.poisson_params = replace(problem.poisson_params, **cfg.poisson_params)
+    try:
+        inspect.signature(builder).bind(n, **cfg.custom)
+    except TypeError as e:
+        raise ConfigError(f"[custom] does not apply to {cfg.benchmark!r}: {e}") from None
+    problem = builder(n, **cfg.custom)
+    for pair in ("np", "poisson"):
+        attr = f"{pair}_params"
+        try:
+            setattr(problem, attr, replace(getattr(problem, attr), **getattr(cfg, attr)))
+        except ConfigError as e:     # FluxParams names the field: "beta0 must be ..."
+            raise ConfigError(f"{pair}_{e}") from None
     sim = {"T": defaults["T"]}
     if not cfg.sim.keys() & {"dt", "mu"}:
         sim.update(dt=defaults.get("dt"), mu=defaults.get("mu"))
@@ -144,20 +156,12 @@ def config_sizes(cfg):
     """Mesh sizes of the run: the configured ones, else the benchmark's."""
     if cfg.sizes is not None:
         return cfg.sizes
-    return _build(cfg, 4)[1]["sizes"]
+    return list(_entry(cfg)[1]["sizes"])
 
 
-def _build(cfg, n):
-    """The registry's problem and defaults at mesh size n, with the [custom]
-    keywords. An unknown id and a keyword the builder does not take are
-    configuration errors; an error raised inside the builder propagates as
-    it is (`neutral` raises its own `ConfigError` for a bad dim)."""
-    builder = BENCHMARKS.get(cfg.benchmark)
-    if builder is None:
+def _entry(cfg):
+    """The registry's (builder, default run settings) of the configured id."""
+    if cfg.benchmark not in BENCHMARKS:
         raise ConfigError(f"unknown benchmark {cfg.benchmark!r}; "
                           f"known: {', '.join(sorted(BENCHMARKS))}")
-    try:
-        inspect.signature(builder).bind(n, **cfg.custom)
-    except TypeError as e:
-        raise ConfigError(f"[custom] does not apply to {cfg.benchmark!r}: {e}") from None
-    return builder(n, **cfg.custom)
+    return BENCHMARKS[cfg.benchmark]

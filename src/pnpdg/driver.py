@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericalFatalError
 from .field import Field, FluxParams, l1_error, project_l2
-from .poisson import PoissonBC, assemble_load, assemble_operator
+from .poisson import assemble_load, assemble_operator
 from .positivity import LimiterReport, build_test_set, build_weight, cfl_mu0, \
     scaling_limiter, test_set_values, weighted_projection
 from .transport import apply_mass_inverse, np_rhs
@@ -52,7 +52,7 @@ class SpeciesSpec:
 class ProblemSpec:
     mesh: object
     species: list
-    poisson_bc: PoissonBC
+    poisson_bc: dict                 # side name -> BoundaryCondition
     np_params: FluxParams
     poisson_params: FluxParams
     rho0: object = None

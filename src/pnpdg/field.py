@@ -8,11 +8,13 @@ Values at quadrature nodes, integrals and projections go through the
 mesh's cached `CellQuadrature`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import basis_for
+from .exceptions import ConfigError
 
 
 @dataclass
@@ -22,6 +24,11 @@ class FluxParams:
 
     beta0: float
     beta1: float
+
+    def __post_init__(self):
+        for name in ("beta0", "beta1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     def in_positivity_range(self):
         return self.beta0 >= 1.0 and 0.125 <= self.beta1 <= 0.25

@@ -15,8 +15,9 @@ Dirichlet faces carry penalty/consistency terms
 
 with the floor applied because the plain boundary penalty is exactly
 critical at beta0 = K^2 (the assembled matrix becomes singular there).
-Neumann faces contribute only load terms. A problem needs the zero-mean
-gauge exactly when it has no Dirichlet side. The matrix is assembled once,
+Neumann faces contribute only load terms. Without a Dirichlet side the
+potential is fixed only up to a constant, so exactly then the matrix is
+bordered by the zero-mean gauge. The matrix is assembled once,
 as CSC, and is symmetric bit for bit, with the zero-mean-gauge border or
 without: every dense block is a sum of Q + Q^T terms and no two blocks
 share an entry. It is factorized as assembled (minimum degree on A + A^T
@@ -71,27 +72,6 @@ def neumann(data=lambda t, *s: 0.0):
     return BoundaryCondition("neumann", data)
 
 
-@dataclass
-class PoissonBC:
-    """Per-side boundary conditions; keys 'left','right' (+ 'bottom','top' in 2D)."""
-
-    sides: dict
-    zero_mean_gauge: bool = False
-
-    def validate(self, mesh):
-        want = {name for pair in SIDES[:mesh.dim] for name in pair}
-        if set(self.sides) != want:
-            raise ValueError(f"boundary sides {sorted(self.sides)} != expected {sorted(want)}")
-        dirichlet = any(bc.kind == "dirichlet" for bc in self.sides.values())
-        if dirichlet and self.zero_mean_gauge:
-            raise ValueError("zero_mean_gauge with a Dirichlet side, which fixes psi already")
-        if not dirichlet and not self.zero_mean_gauge:
-            raise NumericalFatalError(
-                "pure-Neumann Poisson problem without zero_mean_gauge; "
-                "the operator would be singular"
-            )
-
-
 class PoissonOperator:
     """The DDG matrix, factorized once, and the load row of every boundary side.
 
@@ -111,8 +91,11 @@ class PoissonOperator:
             m = np.zeros(matrix.shape[0])
             m[::basis_for(mesh).nb] = mesh.cell_volume
             self.system = sps.bmat([[matrix, m[:, None]], [m[None, :], None]], format="csc")
-        self._lu = spla.splu(self.system, permc_spec="MMD_AT_PLUS_A",
-                             options=dict(SymmetricMode=True))
+        try:
+            self._lu = spla.splu(self.system, permc_spec="MMD_AT_PLUS_A",
+                                 options=dict(SymmetricMode=True))
+        except RuntimeError as e:    # SuperLU: the factor is singular
+            raise NumericalFatalError(f"Poisson matrix factorization failed: {e}") from None
 
     def solve(self, load):
         """Solve for the potential field; the cached factorization is reused."""
@@ -124,8 +107,13 @@ class PoissonOperator:
 
 
 def assemble_operator(mesh, params, bc):
-    """Assemble and factorize the Poisson DDG matrix for the given mesh/BC."""
-    bc.validate(mesh)
+    """Assemble and factorize the Poisson DDG matrix for the mesh and the
+    boundary conditions `bc`, one per side: 'left', 'right' (+ 'bottom',
+    'top' in 2D). The zero-mean gauge applies exactly when no side is
+    Dirichlet."""
+    want = {name for pair in SIDES[:mesh.dim] for name in pair}
+    if set(bc) != want:
+        raise ValueError(f"boundary sides {sorted(bc)} != expected {sorted(want)}")
     thresh = gamma_d(params.beta1)
     if params.beta0 <= thresh:
         log.warning(
@@ -156,7 +144,7 @@ def assemble_operator(mesh, params, bc):
                                              (-1.0, 1.0), quad.boundary_cells[d]):
             # Dirichlet: bb/h u v - dn(u) v - u dn(v) in the matrix, the data
             # times (bb/h) v - dn(v) in the load
-            bcs, row = bc.sides[name], tv
+            bcs, row = bc[name], tv
             if bcs.kind == "dirichlet":
                 dn = sign * (2.0 / h) * td
                 tw = tv.T * fw
@@ -171,7 +159,8 @@ def assemble_operator(mesh, params, bc):
     cols = np.broadcast_to(nb * col_cells[:, None, None] + shift, vals.shape)
     nd = nb * mesh.n_cells
     A = sps.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nd, nd))
-    return PoissonOperator(mesh, A, boundary_rows, bc.zero_mean_gauge)
+    gauge = all(side.kind == "neumann" for side in bc.values())
+    return PoissonOperator(mesh, A, boundary_rows, gauge)
 
 
 def _interior_face_block(ft, h, fw, params, nb):

@@ -53,7 +53,7 @@ CASES = {
 def run_case(name):
     """Columns of one case, keyed as in the stored file (floors excluded)."""
     bench, n, kwargs, sim = CASES[name]
-    problem, _ = build_benchmark(bench, n, **kwargs)
+    problem = build_benchmark(bench, n, **kwargs)
     result = run(problem, SimConfig(**sim))
     recs = result.diagnostics
     out = {

@@ -20,8 +20,7 @@ from pnpdg import FluxParams, SimConfig, build_benchmark, run
 from pnpdg.driver import init, pnp_step
 from pnpdg.field import Field
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.poisson import (PoissonBC, assemble_load, assemble_operator,
-                           dirichlet, gamma_d)
+from pnpdg.poisson import assemble_load, assemble_operator, dirichlet, gamma_d
 from pnpdg.positivity import (build_test_set, build_weight, cfl_mu0, scaling_limiter,
                               weighted_cell_average, weighted_projection)
 from pnpdg.positivity import test_set_values as values_on_test_set
@@ -97,7 +96,7 @@ def _run_ex1_table(T, beta1, limiter=True):
     """Errors per mesh for one Example 1 table."""
     out = []
     for n in MESHES_1D:
-        problem, _ = build_benchmark("example1", n)
+        problem = build_benchmark("example1", n)
         problem.np_params = FluxParams(4.0, beta1)
         sim = SimConfig(T=T, mu=0.01, cadence=10**9, limiter=limiter,
                         override_admissibility=beta1 < 0.125)
@@ -115,13 +114,13 @@ def ex1_tables():
 
 @pytest.fixture(scope="module")
 def ex2_run():
-    problem, _ = build_benchmark("example2", 10)
+    problem = build_benchmark("example2", 10)
     return run(problem, SimConfig(T=0.5, mu=0.01, cadence=1))
 
 
 @pytest.fixture(scope="module")
 def ex4_run():
-    problem, _ = build_benchmark("example4", 20)
+    problem = build_benchmark("example4", 20)
     return run(problem, SimConfig(T=0.1, dt=1e-5, cadence=1))
 
 
@@ -175,7 +174,7 @@ def test_criterion_02_example3_convergence():
         ns = sizes + ([30, 40] if (FULL == "max" and 30 in table) else [])
         errs = {"c1": [], "c2": [], "psi": []}
         for n in ns:
-            problem, _ = build_benchmark(case + (variant or ""), n)
+            problem = build_benchmark(case + (variant or ""), n)
             res = run(problem, SimConfig(T=T, mu=1.6e-5, cadence=10**9))
             for i, name in enumerate(("c1", "c2", "psi")):
                 mine = res.errors[name]
@@ -198,7 +197,7 @@ def test_criterion_03_positivity_example4(ex4_run):
     min_avg = min(min(d.min_avgs) for d in res.diagnostics)
     ok_pos = min_avg > 0.0
     # limiter forcibly off: the raw reconstruction dips negative near t = 0
-    problem, _ = build_benchmark("example4", 20)
+    problem = build_benchmark("example4", 20)
     res_off = run(problem, SimConfig(T=1e-3, dt=1e-5, limiter=False, cadence=1))
     min_g = min(min(d.min_g_pre) for d in res_off.diagnostics)
     ok_neg = min_g < 0.0
@@ -234,7 +233,7 @@ def test_criterion_06_steady_state_preservation():
     bad = []
     detail = []
     for mu_factor in (0.1, 1.0, 10.0):
-        problem, _ = build_benchmark("neutral", 8)
+        problem = build_benchmark("neutral", 8)
         state = init(problem, SimConfig(T=1.0, mu=mu_factor, rk=1))
         dt = mu_factor * state.mesh.spacing[0]**2
         before = state.c.coeffs.copy()
@@ -419,7 +418,7 @@ def test_criterion_11_poisson_solver():
     errs = []
     for n in (10, 20, 40):
         mesh = build_mesh_1d(0, 1, n)
-        bc = PoissonBC({"left": dirichlet(), "right": dirichlet()})
+        bc = {"left": dirichlet(), "right": dirichlet()}
         op = assemble_operator(mesh, FluxParams(4.0, 1 / 6), bc)
         b = assemble_load(op, [], [], rho0=lambda x: np.pi**2 * np.sin(np.pi * x))
         errs.append(pnpdg.l1_error(op.solve(b), lambda x: np.sin(np.pi * x)))
@@ -432,7 +431,7 @@ def test_criterion_11_poisson_solver():
     pd_ok = True
     for b0 in (gd + 0.05, 4.0, 16.0):
         mesh = build_mesh_1d(0, 1, 6)
-        bc = PoissonBC({"left": dirichlet(), "right": dirichlet()})
+        bc = {"left": dirichlet(), "right": dirichlet()}
         op = assemble_operator(mesh, FluxParams(b0, 1 / 6), bc)
         A = op.matrix.toarray()
         sym_ok &= np.abs(A - A.T).max() / np.abs(A).max() <= 1e-12

@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,15 @@ dir = {}
     assert max(changes) < 1e-13
 
 
+@pytest.mark.parametrize("t_final, start", [("0", "t=0:"), ("1e-3", "t=0.001:")])
+def test_cli_steady_check_reports_its_start_time(tmp_path, capsys, t_final, start):
+    cfg = _write(tmp_path, "s.cfg", f"[benchmark]\nid = neutral\n[mesh]\nsizes = 6\n"
+                 f"[time]\nt_final = {t_final}\n[output]\ndir = {tmp_path / 'sc'}\n")
+    assert main(["steady-check", "--config", cfg]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith(f"steady check after {start} 100 steps of dt=")
+
+
 def test_cli_steady_check_perturbed_relaxes(tmp_path):
     # perturbed neutral state: per-step changes decay across the window
     out = tmp_path / "relax"
@@ -457,3 +467,58 @@ def test_readme_configuration_block_resolves():
     assert problem.name == cfg.benchmark and problem.mesh.n_cells == config_sizes(cfg)[0]
     assert set(cfg.sim) == {"T", "mu", "rk", "limiter", "override_admissibility",
                             "cfl_mode", "cadence"}
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, code", [
+    ("poisson_beta0 = nan", 2),
+    ("poisson_beta0 = inf", 2),
+    ("poisson_beta1 = nan", 2),
+    ("np_beta1 = nan\noverride_admissibility = true", 2),
+    # finite, but the matrix overflows and SuperLU finds its factor singular
+    ("poisson_beta1 = 1e300", 3),
+])
+def test_cli_bad_flux_parameter_exit_code(tmp_path, capsys, line, code):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "f.cfg", f"[benchmark]\nid = example1\n[mesh]\nsizes = 5\n"
+                 f"[time]\nt_final = 1e-4\n[scheme]\n{line}\n[output]\ndir = {out}\n")
+    assert main(["run", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert f"config error: {line.split()[0]} must be finite" in err
+        assert not out.exists()
+    else:
+        assert "numerical fatal: Poisson matrix factorization failed" in err
+
+
+@pytest.mark.parametrize("command, text, sizes", [
+    ("convergence", "id = example1\n[time]\nt_final = 1e-4", [5, 5, 10, 20, 40]),
+    ("convergence", "id = example1\n[mesh]\nsizes = 5 10\n[time]\nt_final = 1e-4", [5, 5, 10]),
+    # no exact solution: a reference run on 4 x 10 cells
+    ("convergence", "id = example2\n[mesh]\nsizes = 5 10\n[time]\nt_final = 1e-4",
+     [5, 5, 10, 40]),
+    ("run", "id = example4\n[time]\nt_final = 2e-5", [20, 20]),
+    ("steady-check", "id = neutral\n[time]\nt_final = 0", [8, 8]),
+], ids=["convergence-default-sizes", "convergence", "convergence-reference", "run",
+        "steady-check"])
+def test_each_command_builds_each_mesh_once(tmp_path, monkeypatch, command, text, sizes):
+    # one build when the configuration is parsed, then one per mesh the command runs
+    name = text.split()[2]
+    builder, defaults = BENCHMARKS[name]
+    built = []
+
+    @functools.wraps(builder)
+    def counted(n, **kwargs):
+        built.append(n)
+        return builder(n, **kwargs)
+
+    monkeypatch.setitem(BENCHMARKS, name, (counted, defaults))
+    cfg = _write(tmp_path, "c.cfg", f"[benchmark]\n{text}\n[output]\ndir = {tmp_path / 'o'}\n")
+    assert main([command, "--config", cfg]) == 0
+    assert sorted(built) == sorted(sizes)

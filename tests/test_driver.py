@@ -13,7 +13,7 @@ from pnpdg.driver import (MAX_HALVINGS, SimConfig, SpeciesSpec, free_energy, ini
 from pnpdg.exceptions import ConfigError, NumericalFatalError
 from pnpdg.field import Field, l1_error, project_l2
 from pnpdg.mesh import SIDES
-from pnpdg.poisson import PoissonBC, dirichlet, neumann
+from pnpdg.poisson import dirichlet, neumann
 
 EPS = np.finfo(float).eps
 # bounds of the charged steady state, in eps times the largest density: per
@@ -25,13 +25,13 @@ STEADY_DRIFT_K = 10
 
 
 def test_example2_initial_masses():
-    problem, _ = build_benchmark("example2", 10)
+    problem = build_benchmark("example2", 10)
     state = init(problem, SimConfig(T=0.1, mu=0.01))
     assert np.abs(np.array(total_mass(state)) - 3.0).max() < 1e-12
 
 
 def test_constant_initial_data_projection_exact():
-    problem, _ = build_benchmark("neutral", 8)
+    problem = build_benchmark("neutral", 8)
     state = init(problem, SimConfig(T=0.1, mu=0.01))
     assert state.c.coeffs.shape == (2, 8, 3)
     assert np.max(np.abs(state.c.coeffs[..., 0] - 3.0)) < 1e-13
@@ -39,7 +39,7 @@ def test_constant_initial_data_projection_exact():
 
 
 def test_example4_initial_minima_positive():
-    problem, _ = build_benchmark("example4", 20)
+    problem = build_benchmark("example4", 20)
     state = init(problem, SimConfig(T=0.1, dt=1e-5))
     assert np.all(state.c.cell_averages.min(axis=-1) > 0)
 
@@ -52,7 +52,7 @@ def test_example4_initial_minima_positive():
 ])
 def test_neutral_state_is_fixed_point(mu_factor, tol, dim):
     # per-step deviation of the exactly-constant state; one step per ratio
-    problem, _ = build_benchmark("neutral", 8, dim=dim)
+    problem = build_benchmark("neutral", 8, dim=dim)
     state = init(problem, SimConfig(T=1.0, mu=mu_factor, rk=1))
     dt = mu_factor * state.mesh.spacing[0]**2
     before = state.c.coeffs.copy()
@@ -62,7 +62,7 @@ def test_neutral_state_is_fixed_point(mu_factor, tol, dim):
 
 def test_neutral_state_fixed_point_sustained():
     # at a stable ratio the state stays put step after step
-    problem, _ = build_benchmark("neutral", 8)
+    problem = build_benchmark("neutral", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01))
     dt = 0.01 * state.mesh.spacing[0]**2
     before = state.c.coeffs.copy()
@@ -87,7 +87,7 @@ def test_registry_rejects_keywords_it_does_not_take(name, kwargs):
 
 
 def test_steady_state_init_zero_potential():
-    problem, _ = build_benchmark("neutral", 8)
+    problem = build_benchmark("neutral", 8)
     phi = zero_field(problem.mesh)
     densities = steady_state_init(problem, [3.0, 3.0], phi)
     assert densities.coeffs.shape == (2, 8, 3)
@@ -95,7 +95,7 @@ def test_steady_state_init_zero_potential():
 
 
 def test_steady_state_init_uncharged_species(rng):
-    problem, _ = build_benchmark("neutral", 8)
+    problem = build_benchmark("neutral", 8)
     problem.species[0] = SpeciesSpec(0.0, lambda x: 1.0 + 0 * x, name="n0")
     phi = Field(problem.mesh, rng.normal(size=(8, 3)))
     densities = steady_state_init(problem, [5.0, 5.0], phi)
@@ -104,7 +104,7 @@ def test_steady_state_init_uncharged_species(rng):
 
 
 def test_free_energy_values():
-    problem, _ = build_benchmark("neutral", 8)
+    problem = build_benchmark("neutral", 8)
     state = init(problem, SimConfig(T=0.1, mu=0.01))
     # c1 = c2 = 3, psi = 0: E = 2 * 3 ln 3 over the unit interval
     assert abs(free_energy(state) - 6 * np.log(3.0)) < 1e-12
@@ -116,16 +116,16 @@ def test_free_energy_values():
 
 
 def test_run_zero_final_time():
-    problem, _ = build_benchmark("neutral", 8)
+    problem = build_benchmark("neutral", 8)
     res = run(problem, SimConfig(T=0.0, mu=0.01))
     assert len(res.diagnostics) == 1
     assert res.diagnostics[0].t == 0.0
 
 
 def test_run_determinism():
-    problem1, _ = build_benchmark("example2", 5)
+    problem1 = build_benchmark("example2", 5)
     r1 = run(problem1, SimConfig(T=0.005, mu=0.01))
-    problem2, _ = build_benchmark("example2", 5)
+    problem2 = build_benchmark("example2", 5)
     r2 = run(problem2, SimConfig(T=0.005, mu=0.01))
     assert [d.masses for d in r1.diagnostics] == [d.masses for d in r2.diagnostics]
     assert [d.energy for d in r1.diagnostics] == [d.energy for d in r2.diagnostics]
@@ -135,7 +135,7 @@ def test_run_determinism():
 
 
 def test_out_of_range_parameters_need_override():
-    problem, _ = build_benchmark("example1", 5)
+    problem = build_benchmark("example1", 5)
     problem.np_params = problem.np_params.__class__(4.0, 1 / 24)
     with pytest.raises(ConfigError):
         init(problem, SimConfig(T=0.01, mu=0.01))
@@ -144,7 +144,7 @@ def test_out_of_range_parameters_need_override():
 
 
 def test_strict_cfl_raises():
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="strict"))
     with pytest.raises(NumericalFatalError):
         pnp_step(state, 1.0)   # mesh ratio far above the bound
@@ -154,7 +154,7 @@ def test_strict_cfl_raises():
 def test_no_cfl_check_outside_the_positivity_range(mode, caplog):
     # beta1 = 1/24 has no proven bound: mu0 is NaN, so a mesh ratio far above
     # any in-range bound neither raises, shrinks the (Euler) step nor warns
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     problem.np_params = problem.np_params.__class__(4.0, 1 / 24)
     state = init(problem, SimConfig(T=1.0, mu=0.01, rk=1, cfl_mode=mode,
                                     override_admissibility=True))
@@ -168,7 +168,7 @@ def test_no_cfl_check_outside_the_positivity_range(mode, caplog):
 
 
 def test_adaptive_cfl_reduces_step():
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     t_before = state.t
     pnp_step(state, 1.0)
@@ -213,7 +213,7 @@ def test_sim_config_requires_t_and_one_step_setting(kwargs, match):
 
 
 def test_sim_config_accepts_numpy_integers():
-    problem, _ = build_benchmark("example2", 6)
+    problem = build_benchmark("example2", 6)
     res = run(problem, SimConfig(T=4e-3, dt=1e-3, rk=np.int64(1), cadence=np.int32(2)))
     assert [r.t for r in res.diagnostics] == pytest.approx([0.0, 2e-3, 4e-3])
 
@@ -222,7 +222,7 @@ def test_sim_config_accepts_numpy_integers():
 def test_adaptive_cfl_halvings_are_capped(shrink, ok):
     # mu0 set so that exactly MAX_HALVINGS halvings reach it (shrink 1), or
     # just one more would; neither loop runs without end
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     dt = 1e-3
     prep = state.prepared_stage()
@@ -236,7 +236,7 @@ def test_adaptive_cfl_halvings_are_capped(shrink, ok):
 
 
 def test_example2_run_mass_and_energy():
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     res = run(problem, SimConfig(T=0.02, mu=0.01))
     masses = np.array([d.masses for d in res.diagnostics])
     drift = np.abs(masses - masses[0]).max() / masses[0].max()
@@ -249,7 +249,7 @@ def test_example2_run_mass_and_energy():
 def test_steady_state_reinit_is_stationary():
     # relax toward equilibrium, refit amplitudes, re-project: the
     # reconstructed state moves by < 1e-8 per step
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     res = run(problem, SimConfig(T=1.0, mu=0.01, cadence=1000))
     state = res.state
     psi = state.prepared_stage().psi
@@ -264,10 +264,10 @@ def test_steady_state_reinit_is_stationary():
 def _biased(name, n, bias):
     """The registry problem with Poisson data psi = 0 on the left side,
     psi = bias on the right side and zero Neumann data elsewhere."""
-    problem, _ = build_benchmark(name, n)
+    problem = build_benchmark(name, n)
     sides = {s: neumann() for pair in SIDES[:problem.mesh.dim] for s in pair}
     sides["left"], sides["right"] = dirichlet(), dirichlet(lambda t, *s: bias)
-    return replace(problem, poisson_bc=PoissonBC(sides))
+    return replace(problem, poisson_bc=sides)
 
 
 @pytest.mark.parametrize("rk", [1, 2])
@@ -301,7 +301,7 @@ def test_replacing_densities_drops_the_prepared_stage(rk):
     # must not be used to advance the new densities
     steps = []
     for warm in (True, False):
-        problem, _ = build_benchmark("example2", 10)
+        problem = build_benchmark("example2", 10)
         state = init(problem, SimConfig(T=1.0, mu=0.01, rk=rk))
         if warm:
             state.prepared_stage()
@@ -316,7 +316,7 @@ def test_replacing_densities_drops_the_prepared_stage(rk):
 def test_editing_densities_in_place_is_refused():
     # an in-place write would leave the prepared stage of the old densities
     # in the cache; the state's coefficient array is read-only instead
-    problem, _ = build_benchmark("example2", 10)
+    problem = build_benchmark("example2", 10)
     config = SimConfig(T=1.0, mu=0.01, rk=1)
     state = init(problem, config)
     state.prepared_stage()
@@ -342,7 +342,7 @@ def test_example1_sources_satisfy_pde(rng):
                         - sympy.diff(sympy.diff(c1, x) + c1 * sympy.diff(psi, x), x))
     f2 = sympy.lambdify((t, x), sympy.diff(c2, t)
                         - sympy.diff(sympy.diff(c2, x) - c2 * sympy.diff(psi, x), x))
-    problem, _ = build_benchmark("example1", 5)
+    problem = build_benchmark("example1", 5)
     xs, ts = _residual_points_1d(rng)
     assert np.max(np.abs(problem.species[0].source(ts, xs) - f1(ts, xs))) < 1e-10
     assert np.max(np.abs(problem.species[1].source(ts, xs) - f2(ts, xs))) < 1e-10
@@ -355,7 +355,7 @@ def test_example1_sources_satisfy_pde(rng):
                                           ("example3-4", "a"), ("example3-4", "c")])
 def test_example3_sources_satisfy_pde(case, variant, rng):
     sympy = pytest.importorskip("sympy")
-    problem, _ = build_benchmark(case + (variant or ""), 4)
+    problem = build_benchmark(case + (variant or ""), 4)
     x, y, t = sympy.symbols("x y t")
     # recover the parameters from the exact solutions
     a1 = float(problem.species[0].exact(0.0, 0.0, 0.0)) / 2
@@ -386,7 +386,7 @@ def test_example3_sources_satisfy_pde(case, variant, rng):
 @pytest.mark.parametrize("name", ["example1", "example3-1", "example3-2", "example3-3",
                                   "example3-4a", "example3-4b", "example3-4c"])
 def test_registry_sources_are_separable(name):
-    problem, _ = build_benchmark(name, 6)
+    problem = build_benchmark(name, 6)
     quad = problem.mesh.quadrature
     sources = [sp.source for sp in problem.species] + [problem.poisson_source]
     sources = [f for f in sources if f is not None]
@@ -400,7 +400,7 @@ def test_registry_sources_are_separable(name):
 
 
 def test_zero_step_is_identity():
-    problem, _ = build_benchmark("example2", 6)
+    problem = build_benchmark("example2", 6)
     state = init(problem, SimConfig(T=0.1, mu=0.01))
     before = state.c.coeffs.copy()
     pnp_step(state, 0.0)
@@ -412,7 +412,7 @@ def test_errors_use_the_fixed_four_point_rule():
     # a coarser rule can vanish on the leading P3 error term of a P2 field;
     # the reported L1 error is the one of the scheme's 4-point rule
     T = 0.002
-    problem, _ = build_benchmark("example1", 10)
+    problem = build_benchmark("example1", 10)
     result = run(problem, SimConfig(T=T, mu=0.01))
     assert result.state.t == T
     assert RULE.n == 4
@@ -422,7 +422,7 @@ def test_errors_use_the_fixed_four_point_rule():
 
 def test_run_without_diagnostics():
     # same trajectory and errors, no records
-    problem, _ = build_benchmark("example1", 5)
+    problem = build_benchmark("example1", 5)
     config = SimConfig(T=0.002, mu=0.01)
     full = run(problem, config)
     bare = run(problem, config, diagnostics=False)
@@ -446,7 +446,7 @@ def _bind_at_stage_2(monkeypatch, state, dt, factor):
 
 
 def test_strict_cfl_checks_heun_stage_2(monkeypatch):
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="strict"))
     dt = 1e-4
     _bind_at_stage_2(monkeypatch, state, dt, 0.75)
@@ -459,7 +459,7 @@ def test_adaptive_cfl_restarts_the_step_for_stage_2(monkeypatch):
     # stage 2 binds between the mesh ratios of dt/2 and dt: one halving, and
     # the whole step is redone at dt/2
     dt = 1e-4
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     plain = init(problem, SimConfig(T=1.0, mu=0.01))
     pnp_step(plain, 0.5 * dt)
     state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
@@ -472,7 +472,7 @@ def test_adaptive_cfl_restarts_the_step_for_stage_2(monkeypatch):
 
 def test_monitor_cfl_leaves_stage_2_unchecked(monkeypatch):
     dt = 1e-4
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     plain = init(problem, SimConfig(T=1.0, mu=0.01))
     pnp_step(plain, dt)
     state = init(problem, SimConfig(T=1.0, mu=0.01))
@@ -485,7 +485,7 @@ def test_monitor_cfl_leaves_stage_2_unchecked(monkeypatch):
 
 def test_adaptive_halvings_of_both_stages_share_the_cap(monkeypatch):
     # stage 1 takes all MAX_HALVINGS halvings; stage 2 then needs one more
-    problem, _ = build_benchmark("example2", 8)
+    problem = build_benchmark("example2", 8)
     state = init(problem, SimConfig(T=1.0, mu=0.01, cfl_mode="adaptive"))
     dt = 1e-3
     small = dt * 0.5 ** MAX_HALVINGS

@@ -49,7 +49,7 @@ def test_adaptive_case_halves_its_steps():
 
 
 def test_neutral_state_stays_exact():
-    problem, _ = build_benchmark("neutral", 8, dim=2)
+    problem = build_benchmark("neutral", 8, dim=2)
     state = init(problem, SimConfig(T=1.0, mu=0.01))
     start = state.c.coeffs.copy()
     for _ in range(5):

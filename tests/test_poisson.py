@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from pnpdg.benchmarks import build_benchmark
-from pnpdg.exceptions import NumericalFatalError
 from pnpdg.field import Field, FluxParams, l1_error, project_l2
 from pnpdg.mesh import build_mesh_1d, build_mesh_2d
-from pnpdg.poisson import (BoundaryCondition, PoissonBC, assemble_load, assemble_operator,
-                           dirichlet, gamma_d, neumann)
+from pnpdg.poisson import (BoundaryCondition, assemble_load, assemble_operator, dirichlet,
+                           gamma_d, neumann)
 
 P16 = FluxParams(4.0, 1 / 6)
 
 
 def bc_dir_both():
-    return PoissonBC({"left": dirichlet(), "right": dirichlet()})
+    return {"left": dirichlet(), "right": dirichlet()}
 
 
 def bc_dir_neu(sigma=lambda t: 0.0):
-    return PoissonBC({"left": dirichlet(), "right": neumann(sigma)})
+    return {"left": dirichlet(), "right": neumann(sigma)}
 
 
 def test_gamma_d_values():
@@ -54,7 +53,7 @@ def test_positive_definite_above_threshold():
 
 def test_2d_matrix_dimension():
     m = build_mesh_2d(1, 1, 2, 2)
-    bc = PoissonBC({s: dirichlet(lambda t, x: 0.0) for s in ("left", "right", "bottom", "top")})
+    bc = {s: dirichlet(lambda t, x: 0.0) for s in ("left", "right", "bottom", "top")}
     op = assemble_operator(m, FluxParams(16.0, 1 / 6), bc)
     assert op.matrix.shape == (24, 24)
     A = op.matrix.toarray()
@@ -69,8 +68,8 @@ def test_symmetry_various_meshes(n, rng):
     A = op.matrix.toarray()
     assert np.abs(A - A.T).max() / np.abs(A).max() < 1e-12
     m2 = build_mesh_2d(2.0, 0.7, n, n - 2)
-    bc = PoissonBC({"left": dirichlet(lambda t, s: 0.0), "right": dirichlet(lambda t, s: 0.0),
-                    "bottom": neumann(lambda t, s: 0.0), "top": neumann(lambda t, s: 0.0)})
+    bc = {"left": dirichlet(lambda t, s: 0.0), "right": dirichlet(lambda t, s: 0.0),
+          "bottom": neumann(lambda t, s: 0.0), "top": neumann(lambda t, s: 0.0)}
     op = assemble_operator(m2, FluxParams(16.0, 1 / 6), bc)
     A = op.matrix.toarray()
     assert np.abs(A - A.T).max() / np.abs(A).max() < 1e-12
@@ -168,28 +167,29 @@ def test_factorization_reuse_bitwise(rng):
 
 def test_pure_neumann_requires_gauge():
     m = build_mesh_1d(0, 1, 4)
-    bc = PoissonBC({"left": neumann(), "right": neumann()})
-    with pytest.raises(NumericalFatalError):
-        assemble_operator(m, P16, bc)
-    bc = PoissonBC({"left": neumann(), "right": neumann()}, zero_mean_gauge=True)
-    op = assemble_operator(m, P16, bc)
+    op = assemble_operator(m, P16, {"left": neumann(), "right": neumann()})
+    assert op.gauge
     c = Field(m, np.tile([1.0, 0, 0], (4, 1)))
     b = assemble_load(op, np.stack([c.coeffs, c.coeffs]), [1.0, -1.0], t=0.0)
     psi = op.solve(b)
     assert np.max(np.abs(psi.coeffs)) < 1e-12
 
 
-def test_gauge_with_dirichlet_side_rejected():
-    # the Dirichlet data fix psi, so a zero-mean border would over-determine it
-    bc = PoissonBC({"left": dirichlet(), "right": neumann()}, zero_mean_gauge=True)
-    with pytest.raises(ValueError, match="zero_mean_gauge"):
-        assemble_operator(build_mesh_1d(0, 1, 4), P16, bc)
+@pytest.mark.parametrize("mesh, sides", [
+    (build_mesh_1d(0, 1, 4), ("left",)),
+    (build_mesh_1d(0, 1, 4), ("left", "right", "middle")),
+    (build_mesh_1d(0, 1, 4), ("left", "right", "bottom", "top")),
+    (build_mesh_2d(1, 1, 2, 2), ("left", "right", "bottom")),
+], ids=["missing", "extra", "2d-names-on-1d", "missing-2d"])
+def test_boundary_side_names_checked(mesh, sides):
+    with pytest.raises(ValueError, match="boundary sides"):
+        assemble_operator(mesh, P16, {s: dirichlet() for s in sides})
 
 
 def test_gauged_solution_has_zero_mean():
     m = build_mesh_1d(0, 1, 8)
-    bc = PoissonBC({"left": neumann(), "right": neumann()}, zero_mean_gauge=True)
-    op = assemble_operator(m, P16, bc)
+    op = assemble_operator(m, P16, {"left": neumann(), "right": neumann()})
+    assert op.gauge
     # neutral-in-total but nonuniform load
     c1 = project_l2(lambda x: 1 + np.pi * np.sin(np.pi * x), m)
     c2 = project_l2(lambda x: 4 - 2 * x, m)
@@ -204,7 +204,7 @@ def test_gauged_solution_has_zero_mean():
 def test_symmetric_ordering_fill():
     # minimum degree on A + A^T: 249,389 factor entries at Example 4 N=20,
     # where the default COLAMD ordering gave 472,729
-    problem, _ = build_benchmark("example4", 20)
+    problem = build_benchmark("example4", 20)
     op = assemble_operator(problem.mesh, problem.poisson_params, problem.poisson_bc)
     assert op._lu.L.nnz + op._lu.U.nnz <= 300_000
 
@@ -214,11 +214,11 @@ def test_symmetric_ordering_fill():
 def test_matrix_bitwise_symmetric_csc(case):
     if case == "mixed":
         # Dirichlet and Neumann sides in both directions on cells with dx != dy
-        bc = PoissonBC({"left": dirichlet(lambda t, s: 0.0), "right": neumann(lambda t, s: 0.0),
-                        "bottom": neumann(lambda t, s: 0.0), "top": dirichlet(lambda t, s: 0.0)})
+        bc = {"left": dirichlet(lambda t, s: 0.0), "right": neumann(lambda t, s: 0.0),
+              "bottom": neumann(lambda t, s: 0.0), "top": dirichlet(lambda t, s: 0.0)}
         op = assemble_operator(build_mesh_2d(2.0, 0.7, 7, 4), FluxParams(4.0, 1 / 6), bc)
     else:
-        problem, _ = build_benchmark(*case)
+        problem = build_benchmark(*case)
         op = assemble_operator(problem.mesh, problem.poisson_params, problem.poisson_bc)
     # Example 2 is pure Neumann: SuperLU factors the gauge-bordered matrix
     assert op.gauge == (case == ("example2", 10))
@@ -229,7 +229,7 @@ def test_matrix_bitwise_symmetric_csc(case):
 
 @pytest.mark.parametrize("n", [5, 10, 20, 80])
 def test_example2_gauge_solve_residual(n):
-    problem, _ = build_benchmark("example2", n)
+    problem = build_benchmark("example2", n)
     mesh = problem.mesh
     op = assemble_operator(mesh, problem.poisson_params, problem.poisson_bc)
     cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
@@ -244,11 +244,10 @@ def test_example2_gauge_solve_residual(n):
 @pytest.mark.parametrize("name", ["example1", "example3-3"])
 def test_density_load_is_diagonal_mass(name):
     # Example 3-3, not 3-1: the 3-1 densities carry no net charge
-    problem, _ = build_benchmark(name, 40)
+    problem = build_benchmark(name, 40)
     mesh = problem.mesh
     # zero boundary data, so the load is the density part alone
-    bc = PoissonBC({s: BoundaryCondition(b.kind, lambda t, *x: 0.0)
-                    for s, b in problem.poisson_bc.sides.items()})
+    bc = {s: BoundaryCondition(b.kind, lambda t, *x: 0.0) for s, b in problem.poisson_bc.items()}
     op = assemble_operator(mesh, problem.poisson_params, bc)
     cs = np.stack([project_l2(sp.c_init, mesh).coeffs for sp in problem.species])
     b = assemble_load(op, cs, problem.charges, t=0.0)

@@ -32,6 +32,8 @@ GOLDEN = ROOT / "tests" / "golden"
 CLI_RUNS = {
     "run-example4": ("run", "[benchmark]\nid = example4\n[mesh]\nsizes = 6\n"
                             "[time]\nt_final = 3e-4\n[output]\ncadence = 1\n"),
+    # no [mesh] sizes: the registry's default mesh size and step
+    "run-neutral": ("run", "[benchmark]\nid = neutral\n[time]\nt_final = 2e-3\n"),
     "convergence-example1": ("convergence", "[benchmark]\nid = example1\n[mesh]\n"
                                             "sizes = 5 10\n[time]\nt_final = 0.002\n"),
     "convergence-example2": ("convergence", "[benchmark]\nid = example2\n[mesh]\n"
