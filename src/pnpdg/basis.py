@@ -15,6 +15,7 @@ face weight 1, so one flux kernel, `FaceTables.flux`, serves both
 dimensions.
 """
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -155,7 +156,9 @@ class Basis:
     """Tensor products of Legendre polynomials, one degree tuple per function,
     and their tables under the scheme's rule: the values at the tensor
     quadrature nodes (`vol`, flattened to (nq^dim, nb) in `vol_flat`), the
-    projection and moment tables, the moment and coefficient tables of every
+    weighted products of pairs of them (`vol_pairs`, whose columns
+    `pair_rows[m]` hold row m of the upper triangle), the projection and
+    moment tables, the moment and coefficient tables of every
     quadrature line, one FaceTables per direction, `nodes_traces` (the
     values at the volume nodes stacked over the high and the low trace of
     every direction) and the weights of the cell mean."""
@@ -169,9 +172,17 @@ class Basis:
         self.vol = self.vals(*_node_grid(dim))
         self.vol_flat = self.vol.reshape(-1, self.nb)
         self.w_flat = _tensor_weights(dim)
-        # fused projection table: node -> stacked (m, l) basis products
-        self.vol_outer = (self.vol_flat[:, :, None] * self.vol_flat[:, None, :]).reshape(
-            len(self.w_flat), -1)
+        # weighted projection table: per volume node the products
+        # w_q phi_m phi_l, m <= l, with the rows m of the upper triangle one
+        # after another, and a last row with the reference Gram matrix on
+        # the same entries
+        pairs = [(i, j) for i in range(self.nb) for j in range(i, self.nb)]
+        m, l = np.array(pairs).T
+        self.vol_pairs = np.concatenate([
+            self.w_flat[:, None] * self.vol_flat[:, m] * self.vol_flat[:, l],
+            [[self.gram[i] if i == j else 0.0 for i, j in pairs]]])
+        ends = list(itertools.accumulate(range(self.nb, 0, -1)))
+        self.pair_rows = tuple(slice(e - self.nb + i, e) for i, e in enumerate(ends))
         # weighted moment table: node -> weights/2 * (1, xi, xi^2), one direction
         self.mom = 0.5 * RULE.weights[:, None] * np.stack([np.ones_like(q), q, q * q], -1)
         # the same moments on every quadrature line of every direction, x
@@ -182,8 +193,11 @@ class Basis:
              for d in range(dim)], axis=1)
         self.proj = _polish_projection(self.vol_flat, self.w_flat, self.gram)
         self.faces = tuple(FaceTables(self, d) for d in range(dim))
-        # the line coefficients of every quadrature line, x lines first
-        self.line_coeffs = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
+        # the line coefficients of every quadrature line, x lines first, as
+        # rows k * n_lines + line: modal coefficients -> a_k on every line
+        lines = np.concatenate([f.line_coeffs for f in self.faces], axis=1)
+        self.line_coeffs = np.ascontiguousarray(
+            lines.reshape(self.nb, -1, K + 1).transpose(2, 1, 0).reshape(-1, self.nb))
         # rows: the volume nodes, then per direction the xi_d = +1 and the
         # xi_d = -1 traces; one product evaluates a field at all of them
         self.nodes_traces = np.concatenate(

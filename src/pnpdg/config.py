@@ -2,10 +2,12 @@
 
 Unknown sections or keys, and a key set twice, are rejected with their line
 number. A configuration is valid exactly when it resolves: `parse_config`
-resolves it once, so the registry and `SimConfig` check every value they own.
+resolves it once, so the registry and `SimConfig` check every value they own,
+and an error that names a key set in the file carries that key's line.
 """
 
 import inspect
+import re
 from dataclasses import dataclass, field, replace
 
 from .benchmarks import BENCHMARKS
@@ -118,7 +120,14 @@ def parse_config(text):
         raise ConfigError("benchmark id required ([benchmark] id = ...)")
     if "dt" in key_lines and "mu" in key_lines:
         raise ConfigError("give either dt or mu, not both", key_lines["dt"])
-    resolve(cfg)
+    try:
+        resolve(cfg)
+    except ConfigError as e:
+        # the checks behind resolve name the key they reject ("rk must be ...")
+        key = re.search(r"(\w+) must ", str(e))
+        if e.line is None and key and key[1] in key_lines:
+            raise ConfigError(str(e), key_lines[key[1]]) from None
+        raise
     return cfg
 
 

@@ -145,17 +145,19 @@ def build_test_set(weight, params):
     if params.in_positivity_range():
         lim = 8.0 * params.beta1 - 1.0
         np.minimum(np.maximum(g, -lim, out=g), lim, out=g)
-        bad = ~((a < g) & (g < b))
-        if bad.any():
-            i = int(np.argmax(bad.ravel()))
+        ok = (a < g) & (g < b)
+        if not ok.all():
+            i = int(np.argmin(ok.ravel()))
             raise InadmissibleCellError(
-                np.unravel_index(i, bad.shape), float(a.ravel()[i]), float(b.ravel()[i]), lim
+                np.unravel_index(i, ok.shape), float(a.ravel()[i]), float(b.ravel()[i]), lim
             )
     gp, gm = 1.0 + g, 1.0 - g
+    gm0 = g * m0
     w = np.empty(g.shape + (3,))
-    np.divide(g * m0 - gp * m1 + m2, 2.0 * gp, out=w[..., 0])
+    np.divide(gm0 - gp * m1 + m2, 2.0 * gp, out=w[..., 0])
     np.divide(m0 - m2, 1.0 - g * g, out=w[..., 1])
-    np.divide(-g * m0 + gm * m1 + m2, 2.0 * gm, out=w[..., 2])
+    # -g m0 + (1 - g) m1 + m2, bit for bit
+    np.divide(gm * m1 - gm0 + m2, 2.0 * gm, out=w[..., 2])
     return TestSet(a, b, g, w)
 
 
@@ -164,10 +166,11 @@ def weighted_projection(c, weight):
 
     The weighted average of the result equals the plain cell average of c
     (take r = 1), which is what the limiter conserves. The systems of every
-    leading index and cell, B in all, are laid out batch-last, (nb, nb, B),
-    and solved together by Gaussian elimination without pivoting: W is
-    symmetric positive definite when M > 0, since the Gauss weights are
-    positive, so a nonpositive pivot means a nonpositive weight.
+    leading index and cell, B in all, are laid out batch-last and solved
+    together by symmetric Gaussian elimination (LDL^T) without pivoting on
+    the rows of W's upper triangle, (nb - m, B) each: W is symmetric
+    positive definite when M > 0, since the Gauss weights are positive, so
+    a nonpositive pivot means a nonpositive weight.
     """
     gram = c.basis.gram
     nb = len(gram)
@@ -177,26 +180,33 @@ def weighted_projection(c, weight):
     # of M per cell: a cell-constant weight gives an exactly diagonal W (the
     # plain quadrature Gram has ~1e-16 off-diagonal roundoff), so where M and
     # c are both constant g has exactly zero higher modes and the constant
-    # steady state is an exact discrete fixed point
+    # steady state is an exact discrete fixed point. With M - m_ref at the
+    # nodes and m_ref last, one product with `vol_pairs` gives the upper
+    # triangle of W
     m_ref = mv[:, 0]
-    W = c.basis.vol_outer.T @ ((mv - m_ref[:, None]) * c.basis.w_flat).T
-    W[::nb + 1] += gram[:, None] * m_ref    # the diagonal rows of the flat W
-    W = W.reshape(nb, nb, -1)
+    dev = np.empty((len(mv), mv.shape[1] + 1))
+    np.subtract(mv, m_ref[:, None], out=dev[:, :-1])
+    dev[:, -1] = m_ref
+    W = c.basis.vol_pairs.T @ dev.T
+    rows = [W[s] for s in c.basis.pair_rows]    # rows[m] = W[m, m:]
     # solve for the deviation from the plain cell average
     avg = coeffs[:, 0]
-    x = (coeffs * gram).T - avg * W[:, 0]
+    x = (coeffs * gram).T - avg * rows[0]
+    # W = L D L^T: L x = rhs during the elimination, then D, then L^T
+    L = np.empty((nb, nb, len(avg)))    # unit lower triangle, below the diagonal
     for k in range(nb):
-        if not W[k, k].min() > 0.0:
+        d, u = rows[k][0], rows[k][1:]
+        if not d.min() > 0.0:
             raise NumericalFatalError(
                 "weighted mass matrix has a nonpositive pivot (non-positive weight?)")
         if k + 1 < nb:
-            f = W[k + 1:, k] / W[k, k]
-            W[k + 1:, k + 1:] -= f[:, None] * W[k, k + 1:]
+            f = np.divide(u, d, out=L[k + 1:, k])
+            for i in range(nb - k - 1):
+                rows[k + 1 + i] -= f[i] * u[i:]
             x[k + 1:] -= f * x[k]
+        x[k] /= d
     for k in range(nb - 1, 0, -1):
-        x[k] /= W[k, k]
-        x[:k] -= W[:k, k] * x[k]
-    x[0] /= W[0, 0]
+        x[:k] -= L[k, :k] * x[k]
     x[0] += avg
     if not np.isfinite(x).all():
         raise NumericalFatalError("weighted mass solve failed (non-positive weight?)")
@@ -208,18 +218,29 @@ def test_set_values(g, testset):
     line, at xi_d = -1, gamma and 1.
 
     On a line of direction d, g is a Legendre quadratic a0 + a1 L1 + a2 L2
-    in xi_d; one table gives the coefficients of every line.
+    in xi_d; one table gives a_k on every line, k outermost. The values are
+    written with the test points outermost and the cells innermost and
+    returned as a view of that buffer, so a minimum over each cell's test
+    points reduces over contiguous rows.
     """
-    gam = testset.gammas
-    coef = g.coeffs @ g.basis.line_coeffs
-    a = coef.reshape(gam.shape + (3,))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    out = np.empty(a.shape)
+    shape = testset.gammas.shape
+    # (n_lines, cells of every leading index)
+    gam = testset.gammas.reshape(-1, shape[-1]).T.copy()
+    a0, a1, a2 = (g.basis.line_coeffs @ g.coeffs.reshape(-1, g.basis.nb).T).reshape(
+        (3,) + gam.shape)
+    out = np.empty((shape[-1], 3, gam.shape[1]))
     even = a0 + a2
-    np.subtract(even, a1, out=out[..., 0])
-    out[..., 1] = a0 + gam * (a1 + 1.5 * gam * a2) - 0.5 * a2
-    np.add(even, a1, out=out[..., 2])
-    return out.reshape(coef.shape)
+    np.subtract(even, a1, out=out[:, 0])
+    np.add(even, a1, out=out[:, 2])
+    # a0 + gamma (a1 + 1.5 gamma a2) - a2 / 2, one rounding per operation
+    t = 1.5 * gam
+    t *= a2
+    t += a1
+    t *= gam
+    t += a0
+    np.multiply(0.5, a2, out=even)
+    np.subtract(t, even, out=out[:, 1])
+    return out.reshape(-1, gam.shape[1]).T.reshape(shape[:-1] + (-1,))
 
 
 @dataclass
@@ -239,7 +260,8 @@ def scaling_limiter(g, weight, testset):
 
     Weighted cell averages are preserved exactly; a nonpositive weighted
     average means positivity of the underlying density was already lost
-    upstream and is treated as fatal.
+    upstream and is treated as fatal. Where no test value is negative, g
+    itself is returned, with theta = 1.
     """
     wbar = weighted_cell_average(g, weight)
     if (wbar <= 0.0).any():
@@ -250,6 +272,9 @@ def scaling_limiter(g, weight, testset):
         )
     mn = test_set_values(g, testset).min(axis=-1)
     neg = mn < 0.0
+    if not neg.any():     # nothing to limit: g itself, theta = 1
+        low = mn.min(axis=-1)
+        return g, LimiterReport(np.ones_like(wbar), 0, low, low)
     theta = np.divide(wbar, wbar - mn, out=np.ones_like(wbar), where=neg)
     # the test-set values are affine in theta: each cell's new minimum is
     # theta*mn + (1-theta)*wbar, and exactly mn where theta = 1

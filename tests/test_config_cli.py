@@ -476,6 +476,25 @@ def test_readme_library_block_runs(capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section, line", [
+    ("scheme", "poisson_beta0 = nan"),
+    ("time", "t_final = -1"),
+    ("time", "rk = 3"),
+    ("time", "cfl = sometimes"),
+    ("output", "cadence = 0"),
+    ("custom", "dim = 3"),
+])
+def test_cli_resolve_error_reports_line(tmp_path, capsys, section, line):
+    # values that parse but that the registry or SimConfig rejects
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "r.cfg", f"[benchmark]\nid = neutral\n[mesh]\nsizes = 4\n"
+                 f"[{section}]\n{line}\n[output]\ndir = {out}\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 6: " in err and line.split()[0] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, code", [
     ("poisson_beta0 = nan", 2),
     ("poisson_beta0 = inf", 2),
@@ -491,7 +510,7 @@ def test_cli_bad_flux_parameter_exit_code(tmp_path, capsys, line, code):
     assert main(["run", "--config", cfg]) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert f"config error: {line.split()[0]} must be finite" in err
+        assert f"config error: line 8: {line.split()[0]} must be finite" in err
         assert not out.exists()
     else:
         assert "numerical fatal: Poisson matrix factorization failed" in err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,7 @@ def test_test_set_values_match_pointwise_oracle(dim, rng):
     vals = values_on_test_set(g, ts)
     n_lines = ts.gammas.shape[-1]
     assert vals.shape == (2, mesh.n_cells, 3 * n_lines)
+    assert vals.strides[-2] == vals.itemsize     # the cells axis is contiguous
     for i in range(2):
         gi = Field(mesh, g.coeffs[i])
         scale = np.abs(gi.coeffs).sum(axis=-1).max()
@@ -396,3 +399,90 @@ def test_cfl_mirror_invariance(rng):
         w = build_weight(field, 1.0)
         mu0.append(cfl_mu0(w, build_test_set(w, p), p))
     assert abs(mu0[1] - mu0[0]) <= 1e-14 * mu0[0]
+
+
+def _dense_projection(c, w):
+    """g from a per-cell np.linalg.solve of the full weighted mass matrix."""
+    basis = c.basis
+    mw = w.vol.reshape(c.mesh.n_cells, -1) * basis.w_flat
+    W = np.einsum("nq,qm,ql->nml", mw, basis.vol_flat, basis.vol_flat)
+    rhs = c.coeffs * basis.gram
+    return np.linalg.solve(W, rhs[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_projection_matches_dense_solve(dim, rng):
+    # charges +-2 on a smooth psi with |psi| <= 5, so M spans e^-10..e^10
+    # over the mesh. g is solved as its cell average plus a deviation, and
+    # where M > 1 the average cancels most of that deviation: the error
+    # relative to g grows with M there, and is measured against max(1, M)
+    mesh = build_mesh_1d(0, 1, 40) if dim == 1 else build_mesh_2d(1.0, 0.6, 10, 10)
+    f = (lambda x: 5 * np.cos(2 * np.pi * x)) if dim == 1 else \
+        (lambda x, y: 5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y / 0.6))
+    psi = project_l2(f, mesh)
+    nb = basis_for(mesh).nb
+    for q in (2.0, -2.0):
+        w = build_weight(psi, q)
+        scale = np.maximum(1.0, w.vol.max(axis=1))
+        for _ in range(5):
+            c = Field(mesh, rng.normal(size=(mesh.n_cells, nb)))
+            g = weighted_projection(c, w).coeffs
+            ref = _dense_projection(c, w)
+            err = np.abs(g - ref).max(axis=1) / np.abs(ref).max(axis=1)
+            assert np.all(err <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_projection_cell_constant_weight_is_exact(dim, rng):
+    # a cell-constant M and a cell-constant c give a cell-constant g, exactly
+    mesh = build_mesh_1d(0, 1, 6) if dim == 1 else build_mesh_2d(1.0, 0.6, 3, 2)
+    nb = basis_for(mesh).nb
+    m = np.exp(rng.normal(size=(mesh.n_cells, 1)))
+    w = weight_from_values(mesh, np.repeat(m, RULE.n ** dim, axis=1))
+    c = np.zeros((mesh.n_cells, nb))
+    c[:, 0] = rng.uniform(0.5, 2.0, size=mesh.n_cells)
+    g = weighted_projection(Field(mesh, c), w).coeffs
+    assert np.all(g[:, 1:] == 0.0)
+    assert np.max(np.abs(g[:, 0] * m[:, 0] - c[:, 0]) / c[:, 0]) <= 4e-16
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weight", ["zero", "negative", "one-node"])
+def test_weighted_projection_nonpositive_weight_raises_without_warnings(dim, weight):
+    # M = 0 or M = -1 everywhere, or one strongly negative node per cell: the
+    # elimination stops at the first nonpositive pivot before dividing by it
+    mesh = build_mesh_1d(0, 1, 3) if dim == 1 else build_mesh_2d(1.0, 1.0, 2, 2)
+    w = weight_from_values(mesh, np.ones((mesh.n_cells, RULE.n ** dim)))
+    if weight == "one-node":
+        w.vol[:, -1] = -1.0e3
+    else:
+        w.vol[:] = 0.0 if weight == "zero" else -1.0
+    c = Field(mesh, np.ones((mesh.n_cells, basis_for(mesh).nb)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFatalError, match="pivot"):
+            weighted_projection(c, w)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_limiter_returns_unlimited_field_itself(dim, rng):
+    # no negative test value: g comes back bit for bit with theta = 1, and
+    # the reported minima are the test-set minima of g
+    mesh = build_mesh_1d(0, 1, 6) if dim == 1 else build_mesh_2d(1.0, 0.6, 4, 3)
+    nb = basis_for(mesh).nb
+    w = build_weight(random_psi(mesh, rng, scale=0.2), np.array([1.0, -1.0]))
+    ts = build_test_set(w, PP)
+    coeffs = 0.05 * rng.normal(size=(2, mesh.n_cells, nb))
+    coeffs[..., 0] = 1.0
+    g = Field(mesh, coeffs.copy())
+    out, rep = scaling_limiter(g, w, ts)
+    assert np.array_equal(out.coeffs, coeffs)
+    assert rep.n_limited == 0 and np.all(rep.theta == 1.0)
+    vals = values_on_test_set(g, ts)
+    assert vals.min() > 0
+    assert np.array_equal(rep.min_pre, vals.min(axis=(-2, -1)))
+    assert np.array_equal(rep.min_post, rep.min_pre)
+    # an all-zero cell has a zero weighted average, which stays fatal
+    coeffs[1, 2] = 0.0
+    with pytest.raises(NumericalFatalError, match="nonpositive weighted cell average"):
+        scaling_limiter(Field(mesh, coeffs), w, ts)
